@@ -363,7 +363,8 @@ _HANDLERS = {
 
 
 def render_json(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """Strict RFC 8259 JSON: a NaN or infinity raises ValueError."""
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _render_csv(rows: list) -> str:
@@ -451,7 +452,9 @@ def run(argv: list[str] | None = None) -> int:
         if params["pdf_points"] is not None and params["pdf_points"] < 2:
             raise ConfigError("pdf_points must be at least 2")
         start = time.perf_counter()
-        results, inputs, warnings, rows = _HANDLERS[args.command](params, provided)
+        # numpy's overflow warnings are redundant: rendering rejects non-finite results
+        with np.errstate(all="ignore"):
+            results, inputs, warnings, rows = _HANDLERS[args.command](params, provided)
         elapsed_ms = (time.perf_counter() - start) * 1e3
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
@@ -468,7 +471,13 @@ def run(argv: list[str] | None = None) -> int:
         "warnings": warnings,
         "timing_ms": round(elapsed_ms, 3) if params["timing"] else None,
     }
-    text = render_json(document) if params["format"] == "json" else _render_csv(rows)
+    try:  # rendered for CSV output too, so both formats reject non-finite results
+        text = render_json(document)
+    except ValueError:
+        print("error: computation: result is not finite (NaN or infinity)", file=sys.stderr)
+        return 3
+    if params["format"] == "csv":
+        text = _render_csv(rows)
     _emit(text, params["output_path"])
     if args.command == "verify" and warnings:
         return 1

@@ -11,13 +11,20 @@ so the 4^N product space is never constructed.  The pointer concentrates at
 N times the single-pair weak value with spread O(sqrt(N)); for the Hardy
 NO·NO pair observable that mean is -N*g even though every shift is >= 0.
 
-Numerics.  The signed binomial sums behind the closed-form moments cancel to
-roughly |<post|pre>|^(2N), i.e. about 2N*log10((|a0|+|a1|)/|a0+a1|) decimal
-digits below the largest term; double precision is exhausted near N ~ 25 for
-the Hardy values.  Coefficients are therefore kept in log-magnitude/phase
-form and all mixture sums run under mpmath at a working precision derived
-from that bound (re-checked after the fact, retried wider if the margin was
-consumed).
+Numerics.  In position space the moments are signed binomial sums that
+cancel to roughly |<post|pre>|^(2N), about 0.95*N decimal digits for the
+Hardy values.  In momentum space the pointer is a product instead,
+
+    psi~(p) = exp(-p^2 delta^2/4) * exp(-i p g N a0) * (alpha_0 + alpha_1 exp(-i p b))^N,
+
+with b = g*(a1 - a0), so N*log|alpha_0 + alpha_1 exp(-i p b)|^2 is evaluated
+in float64 without cancellation.  The mean and variance of Q = i d/dp are
+trapezoid sums of |psi~|^2 times Re L and |L - mean|^2, L = i d/dp log psi~,
+on one uniform p-grid (the integrand is smooth and decays like a Gaussian,
+so the rule converges exponentially).  The grid is checked by recomputing the
+moments from every second point; an unresolved or oversized grid raises
+QuadratureError.  The mode and the plotting density transform the same
+psi~ back to position space.
 """
 
 from __future__ import annotations
@@ -25,16 +32,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from scipy.integrate import trapezoid
 
+from .errors import QuadratureError
 from .pointer import PointerMixture, SAMPLE_GRID_PADDING
 from .prepost import PrePostEnsemble, branch_amplitudes, weak_value
 from .qcore import Observable
 
 MODE_GRID_POINTS = 4096
 MODE_TOL_FACTOR = 1e-6
+EDGE_LOG_DECAY = 80.0  # grid edge weight below exp(-EDGE_LOG_DECAY) of the peak
+MAX_GRID_POINTS = 2**16
+GRID_CHECK_RTOL = 1e-9  # allowed step-halving change, in units of the spread
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -166,130 +175,104 @@ def success_probability(spec: CollectiveSpec) -> float:
         return float("inf")
 
 
-def _required_dps(spec: CollectiveSpec) -> int:
-    alpha0, alpha1 = spec.alphas
-    ratio = (abs(alpha0) + abs(alpha1)) / abs(alpha0 + alpha1)
-    lost = 2.0 * spec.n_pairs * math.log10(max(ratio, 1.0))
-    return max(50, int(math.ceil(lost)) + 40)
-
-
-def _mp_coefficients(spec: CollectiveSpec):
-    """Exact-binomial coefficients at the current mpmath precision."""
-    alpha0, alpha1 = spec.alphas
-    real_case = alpha0.imag == 0.0 and alpha1.imag == 0.0
-    if real_case:
-        a0, a1 = mp.mpf(alpha0.real), mp.mpf(alpha1.real)
-    else:
-        a0, a1 = mp.mpc(alpha0), mp.mpc(alpha1)
-    n = spec.n_pairs
-    coeffs = []
-    for k in range(n + 1):
-        term = mp.binomial(n, k)
-        term = term * a1**k if k else term
-        term = term * a0**(n - k) if k < n else term
-        coeffs.append(term)
-    return coeffs, real_case
-
-
-def _banded_moments(spec: CollectiveSpec):
-    """W, T1, T2 of the pairwise Gaussian-overlap sums, plus the lost-digit count.
-
-    With shifts linear in k the overlap kernel depends only on |i-j|, so the
-    (N+1)^2 pair sum collapses to N+1 diagonal bands.
-    """
-    n = spec.n_pairs
+def _scan_span(spec: CollectiveSpec) -> float:
+    """Half-width of the position window: largest |shift_k| plus the sampler padding."""
     a0, a1 = (float(e) for e in spec.observable.eigenvalues)
-    b = mp.mpf(spec.g) * (a1 - a0)
-    delta = mp.mpf(spec.delta)
-    coeffs, real_case = _mp_coefficients(spec)
-    w_tot = mp.mpf(0)
-    t1_tot = mp.mpf(0)
-    t2_tot = mp.mpf(0)
-    max_abs = mp.mpf(0)
-    for d in range(n + 1):
-        kd = mp.e**(-(b * d) ** 2 / (2 * delta**2))
-        band_w = mp.mpf(0)
-        band_t1 = mp.mpf(0)
-        band_t2 = mp.mpf(0)
-        half_d = mp.mpf(d) / 2
-        for i in range(n + 1 - d):
-            if real_case:
-                w = coeffs[i] * coeffs[i + d]
-            else:
-                w = (mp.conj(coeffs[i]) * coeffs[i + d]).real
-            t = i + half_d
-            band_w += w
-            band_t1 += w * t
-            band_t2 += w * t * t
-            aw = abs(w)
-            if aw > max_abs:
-                max_abs = aw
-        mult = 1 if d == 0 else 2
-        w_tot += mult * band_w * kd
-        t1_tot += mult * band_t1 * kd
-        t2_tot += mult * band_t2 * kd
-    if w_tot <= 0:
-        raise ArithmeticError("normalization came out non-positive; precision exhausted")
-    lost_digits = float(mp.log10(max_abs / w_tot)) if max_abs > 0 else 0.0
-    return w_tot, t1_tot, t2_tot, lost_digits
+    # the shifts are linear in k, so an endpoint attains the largest |shift_k|
+    ends = spec.g * (spec.n_pairs * a0 + (a1 - a0) * np.array([0, spec.n_pairs]))
+    return float(np.max(np.abs(ends))) + SAMPLE_GRID_PADDING * spec.delta
 
 
-def _log_density_fn(spec: CollectiveSpec):
-    """log |phi(Q)|^2 up to a constant, as a Horner polynomial in exp(2BQ/d^2).
+def _moments(weight: np.ndarray, lq: np.ndarray) -> tuple[float, float]:
+    total = weight.sum()
+    mean = float(np.dot(weight, lq.real) / total)
+    var = float(np.dot(weight, np.abs(lq - mean) ** 2) / total)
+    return mean, var
 
-    Factoring the common Gaussian envelope off the k-th shifted term leaves a
-    degree-N polynomial, so each evaluation costs one exp plus N multiply-adds
-    at the working precision.
+
+def _momentum_pointer(spec: CollectiveSpec):
+    """psi~(p) on a uniform grid (peak |psi~| = 1), with the position mean and variance.
+
+    The grid reaches where |psi~|^2 has fallen below exp(-EDGE_LOG_DECAY) of
+    its peak and resolves the pointer width, the binomial envelope and the
+    scan window.  The moments are recomputed from every second point; a
+    disagreement means the step was too coarse and raises instead of
+    returning an unconverged number.
     """
-    n = spec.n_pairs
+    alpha0, alpha1 = spec.alphas
     a0, a1 = (float(e) for e in spec.observable.eigenvalues)
-    coeffs, real_case = _mp_coefficients(spec)
-    delta = mp.mpf(spec.delta)
-    s0 = mp.mpf(spec.g) * n * a0
-    b = mp.mpf(spec.g) * (a1 - a0)
-    damp_rev = list(reversed(
-        [coeffs[k] * mp.e**(-(b * k) ** 2 / delta**2) for k in range(n + 1)]))
+    n, delta = spec.n_pairs, spec.delta
+    s0 = spec.g * n * a0
+    b = spec.g * (a1 - a0)
+    ratio = max((abs(alpha0) + abs(alpha1)) / abs(alpha0 + alpha1), 1.0)
+    p_max = math.sqrt(2.0 * (2.0 * n * math.log(ratio) + EDGE_LOG_DECAY)) / delta
+    step = min(math.pi / (2.0 * _scan_span(spec)),
+               1.0 / (8.0 * abs(b) * math.sqrt(n)),
+               1.0 / (2.0 * delta))
+    half = 2 * math.ceil(p_max / (2.0 * step))
+    if 2 * half + 1 > MAX_GRID_POINTS:
+        raise QuadratureError(
+            f"momentum grid needs {2 * half + 1} points, above the cap of "
+            f"{MAX_GRID_POINTS}; reduce n_pairs or widen delta")
+    p = step * np.arange(-half, half + 1)
+    rot = np.exp(-1j * b * p)
+    f = alpha0 + alpha1 * rot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_weight = n * np.log(np.abs(f) ** 2) - 0.5 * (p * delta) ** 2
+        weight = np.exp(log_weight - log_weight.max())
+        # i d/dp log psi~ without the constant s0, which is added back exactly
+        lq = np.where(weight > 0.0, n * b * alpha1 * rot / f - 0.5j * delta**2 * p, 0.0)
+    mean, var = _moments(weight, lq)
+    coarse_mean, coarse_var = _moments(weight[::2], lq[::2])
+    tol = GRID_CHECK_RTOL * math.sqrt(var)
+    if (abs(mean - coarse_mean) > tol
+            or abs(math.sqrt(var) - math.sqrt(coarse_var)) > tol):
+        raise QuadratureError(
+            f"momentum grid unresolved at step {step:g}: the mean or spread "
+            "changes when every second point is dropped")
+    psi = np.sqrt(weight) * np.exp(1j * (n * np.angle(f) - p * s0))
+    return p, psi, s0 + mean, var
 
-    def log_density(q: float) -> mp.mpf:
-        qq = mp.mpf(q)
-        r = mp.e**(2 * b * (qq - s0) / delta**2)
-        acc = mp.mpf(0) if real_case else mp.mpc(0)
-        for dk in damp_rev:
-            acc = acc * r + dk
-        mag = abs(acc)
-        if mag == 0:
-            return mp.mpf("-inf")
-        return -2 * (qq - s0) ** 2 / delta**2 + 2 * mp.log(mag)
 
-    return log_density
+def _density_scan(p: np.ndarray, psi: np.ndarray, start: float, step: float,
+                  count: int) -> np.ndarray:
+    """Unnormalized position density |sum_j psi~_j exp(i p_j q)|^2 at q = start + step*i.
+
+    Writing i = a*rows + c factors exp(i p q) into a (rows x m) matrix shared
+    by every block of rows and one phase per block, so the scan is a single
+    matrix product costing O(sqrt(count)*m) exponentials, not count*m.
+    """
+    rows = math.isqrt(count - 1) + 1
+    blocks = -(-count // rows)
+    within = np.exp(1j * np.outer(step * np.arange(rows), p))
+    offsets = np.exp(1j * np.outer(p, start + step * rows * np.arange(blocks)))
+    return (np.abs(within @ (offsets * psi[:, None])) ** 2).T.ravel()[:count]
 
 
-def _mode_search(spec: CollectiveSpec) -> float:
+def _mode_search(spec: CollectiveSpec, p: np.ndarray, psi: np.ndarray) -> float:
     """Global density mode: 4096-point scan, then golden-section refinement."""
-    n = spec.n_pairs
-    a0, a1 = (float(e) for e in spec.observable.eigenvalues)
-    log_density = _log_density_fn(spec)
-    shifts = spec.g * (n * a0 + (a1 - a0) * np.arange(n + 1))
-    span = float(np.max(np.abs(shifts))) + SAMPLE_GRID_PADDING * spec.delta
+    span = _scan_span(spec)
     grid = np.linspace(-span, span, MODE_GRID_POINTS)
-    values = [log_density(q) for q in grid]
-    best = int(np.argmax(values))
+    best = int(np.argmax(_density_scan(p, psi, -span, grid[1] - grid[0], grid.size)))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
+
+    def density(q: float) -> float:
+        return abs(np.dot(psi, np.exp(1j * p * q))) ** 2
 
     tol = MODE_TOL_FACTOR * spec.delta
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = log_density(x1), log_density(x2)
+    f1, f2 = density(x1), density(x2)
     while hi - lo > tol:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = log_density(x2)
+            f2 = density(x2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = log_density(x1)
+            f1 = density(x1)
     return float((lo + hi) / 2.0)
 
 
@@ -297,31 +280,25 @@ def density_grid(spec: CollectiveSpec,
                  points: int = MODE_GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """Normalized collective position density on a plotting grid.
 
-    Evaluated through the same high-precision log-density as the mode search
-    (double precision garbles the signed sums well before N = 25), then
-    rescaled so the trapezoid integral over the grid is 1.
+    The momentum-space pointer transformed back by the same quadrature the
+    mode search uses, rescaled so the trapezoid integral over the grid is 1.
     """
     if spec.n_pairs < 1:
         raise ValueError("density_grid requires n_pairs >= 1")
-    shifts = collective_mixture(spec).shifts
-    span = float(np.max(np.abs(shifts))) + SAMPLE_GRID_PADDING * spec.delta
+    p, psi, _, _ = _momentum_pointer(spec)
+    span = _scan_span(spec)
     grid = np.linspace(-span, span, points)
-    with mp.workdps(_required_dps(spec)):
-        logp = _log_density_fn(spec)
-        values = [logp(q) for q in grid]
-    peak = max(values)
-    pdf = np.array([float(mp.e**(v - peak)) if mp.isfinite(v) else 0.0 for v in values])
-    pdf /= trapezoid(pdf, grid)
+    pdf = _density_scan(p, psi, -span, grid[1] - grid[0], points)
+    pdf /= np.trapezoid(pdf, grid)
     return grid, pdf
 
 
 def collective_pointer_stats(spec: CollectiveSpec) -> CollectiveStats:
     """Mean, global mode and standard deviation of the collective density.
 
-    Closed-form Gaussian overlap sums evaluated in arbitrary precision; the
-    working precision is retried wider whenever the observed cancellation
-    eats into the safety margin.  A single-term mixture (one certain branch)
-    short-circuits to the exact Gaussian answer.
+    One float64 momentum-space quadrature (see the module docstring).  A
+    single-term mixture (one certain branch) short-circuits to the exact
+    Gaussian answer.
     """
     if spec.n_pairs < 1:
         raise ValueError("collective_pointer_stats requires n_pairs >= 1")
@@ -334,30 +311,13 @@ def collective_pointer_stats(spec: CollectiveSpec) -> CollectiveStats:
         )
 
     alpha0, alpha1 = spec.alphas
-    a0, a1 = (float(e) for e in spec.observable.eigenvalues)
     if alpha0 == 0 or alpha1 == 0:
+        a0, a1 = (float(e) for e in spec.observable.eigenvalues)
         eig = a1 if alpha0 == 0 else a0
         center = spec.g * spec.n_pairs * eig
         return CollectiveStats(mean=center, mode=center,
                                spread=spec.delta / 2.0, warnings=warnings)
 
-    dps = _required_dps(spec)
-    for _ in range(4):
-        with mp.workdps(dps):
-            try:
-                w_tot, t1_tot, t2_tot, lost = _banded_moments(spec)
-            except ArithmeticError:
-                dps = 2 * dps
-                continue
-            if dps - lost < 25.0:
-                dps = int(lost) + 60
-                continue
-            t1 = t1_tot / w_tot
-            t2 = t2_tot / w_tot
-            bshift = mp.mpf(spec.g) * (a1 - a0)
-            mean = mp.mpf(spec.g) * spec.n_pairs * a0 + bshift * t1
-            var = bshift**2 * (t2 - t1**2) + mp.mpf(spec.delta) ** 2 / 4
-            mode = _mode_search(spec)
-            return CollectiveStats(mean=float(mean), mode=mode,
-                                   spread=float(mp.sqrt(var)), warnings=warnings)
-    raise ArithmeticError("could not reach a stable working precision")
+    p, psi, mean, var = _momentum_pointer(spec)
+    return CollectiveStats(mean=mean, mode=_mode_search(spec, p, psi),
+                           spread=math.sqrt(var), warnings=warnings)

@@ -23,3 +23,7 @@ class AllBranchesVanishError(WeakMeasError, ValueError):
 
 class UnsupportedConfigurationError(WeakMeasError, ValueError):
     """Requested a simultaneous measurement the solver cannot handle."""
+
+
+class QuadratureError(WeakMeasError, ArithmeticError):
+    """A numerical grid could not be resolved within its size cap."""

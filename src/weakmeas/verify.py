@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from scipy import stats
 
 from . import collective, hardy, pointer, prepost
 from .qcore import Observable, StateVector
@@ -147,6 +146,8 @@ def check_strong_limit() -> tuple[bool, str]:
 
 
 def check_monte_carlo() -> tuple[bool, str]:
+    from scipy import stats  # only this check needs it; keeps the CLI cold start lean
+
     sc = hardy.build()
     table = hardy.weak_value_table(sc).real_values()
     g, delta, trials = 0.05, 1.0, 100_000
@@ -269,7 +270,10 @@ def run_check(criterion: int) -> CheckResult:
     for num, name, fn in CHECKS:
         if num == criterion:
             start = time.perf_counter()
-            passed, detail = fn()
+            try:
+                passed, detail = fn()
+            except Exception as exc:  # one broken check must not abort the report
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             elapsed = (time.perf_counter() - start) * 1e3
             return CheckResult(num, name, bool(passed), str(detail), elapsed)
     raise KeyError(f"no criterion {criterion}")

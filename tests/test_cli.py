@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import weakmeas
+from weakmeas import verify
 from weakmeas.cli import render_json, result_schema, run
 
 
@@ -122,6 +126,16 @@ class TestWeakMeasure:
         assert len(rows) == 64
         assert set(rows[0]) == {"q", "pdf"}
 
+    @pytest.mark.parametrize("flag", ["--g", "--delta"])
+    def test_non_finite_result_exits_3(self, flag, capsys):
+        # g = 1e-300 makes the stderr infinite, delta = 1e-300 makes the estimate NaN
+        code, out, err = run_cli(["weak-measure", "--observable", "N_pair_NO_NO",
+                                  "--seed", "1", "--trials", "1000", flag, "1e-300"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: computation:")
+        assert err.count("\n") == 1
+
     def test_negative_trials_rejected(self, capsys):
         code, _, err = run_cli(["weak-measure", "--observable", "N_minus_O",
                                 "--trials", "-5", "--seed", "1"], capsys)
@@ -154,6 +168,38 @@ class TestCollective:
         doc = run_json(["collective", "--n-pairs", "25", "--g", "1.0",
                         "--delta", "2.0"], capsys)
         assert doc["warnings"]
+
+    def test_oversized_quadrature_exits_3(self, capsys):
+        code, out, err = run_cli(["collective", "--n-pairs", "100000000"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: computation: momentum grid")
+        assert "above the cap" in err
+        assert err.count("\n") == 1
+
+
+class TestVerify:
+    @pytest.fixture
+    def broken_check(self, monkeypatch):
+        def boom():
+            raise RuntimeError("check blew up")
+
+        monkeypatch.setattr(verify, "CHECKS", (
+            (1, "broken", boom),
+            (2, "postselection_probability", verify.check_postselection_probability)))
+
+    def test_raising_check_is_recorded_as_fail(self, broken_check):
+        outcome = verify.run_check(1)
+        assert not outcome.passed
+        assert "RuntimeError: check blew up" in outcome.detail
+        assert verify.run_check(2).passed
+
+    def test_report_continues_past_a_raising_check(self, broken_check, capsys):
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["results"]["broken"]["passed"] is False
+        assert doc["results"]["postselection_probability"]["passed"] is True
 
 
 class TestConfigFile:
@@ -207,6 +253,18 @@ class TestOutputPath:
 
 
 class TestEntryPoint:
+    def test_cold_import_skips_heavy_modules(self):
+        # mpmath is a test-only oracle; scipy.stats is imported by the check that needs it
+        env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, weakmeas.cli; "
+             "print([m for m in ('mpmath', 'scipy.stats', 'scipy.integrate') "
+             "if m in sys.modules])"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "weakmeas.cli", "hardy-table"],

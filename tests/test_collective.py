@@ -1,18 +1,22 @@
 """Collective N-pair coupling: factorized mixtures and pointer statistics.
 
 The N = 2, 3 cases are cross-checked against the literal tensor-power
-construction (dim 16 / 64) built from the core modules; larger N exercises
-the high-precision banded sums directly.
+construction (dim 16 / 64) built from the core modules; larger N is checked
+against the arbitrary-precision position-space oracle in ``mpmath_oracle``.
 """
 
 from math import sqrt
 
+import mpmath_oracle
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from weakmeas import pointer
+from weakmeas import collective, pointer
 from weakmeas.collective import (
+    MODE_TOL_FACTOR,
     CollectiveSpec,
     collective_mixture,
     collective_pointer_stats,
@@ -20,10 +24,16 @@ from weakmeas.collective import (
     density_grid,
     success_probability,
 )
+from weakmeas.errors import QuadratureError
 from weakmeas.prepost import PrePostEnsemble, weak_value
 from weakmeas.qcore import Observable, StateVector
 
 SQRT3 = np.sqrt(3.0)
+
+
+def normalized(*amps):
+    arr = np.array(amps, dtype=complex)
+    return StateVector(arr / np.linalg.norm(arr))
 
 
 def make_spec(scenario, name="N_pair_NO_NO", n=1, g=0.05, delta=1.0):
@@ -186,11 +196,7 @@ class TestPointerStats:
 
     def test_shifted_eigenvalues(self):
         # nothing assumes a zero lower eigenvalue
-        def state(*amps):
-            arr = np.array(amps, dtype=complex)
-            return StateVector(arr / np.linalg.norm(arr))
-
-        ens = PrePostEnsemble(state(1, 1), state(3, -1))
+        ens = PrePostEnsemble(normalized(1, 1), normalized(3, -1))
         spec = CollectiveSpec(ens, Observable.diagonal([2.0, 5.0]),
                               n_pairs=4, g=0.07, delta=1.3)
         stats = collective_pointer_stats(spec)
@@ -219,3 +225,109 @@ class TestDensityGrid:
         assert trapezoid(pdf, grid) == pytest.approx(1.0, abs=1e-9)
         stats = collective_pointer_stats(spec)
         assert grid[np.argmax(pdf)] == pytest.approx(stats.mode, abs=grid[1] - grid[0])
+
+
+def assert_matches_oracle(spec):
+    fast = collective_pointer_stats(spec)
+    slow = mpmath_oracle.collective_pointer_stats(spec)
+    assert fast.mean == pytest.approx(slow.mean, abs=1e-9)
+    assert fast.spread == pytest.approx(slow.spread, abs=1e-9)
+    assert fast.mode == pytest.approx(slow.mode, abs=MODE_TOL_FACTOR * spec.delta)
+    assert fast.warnings == slow.warnings
+
+
+class TestAgainstMpmathOracle:
+    """The float64 momentum-space path against the seed's mpmath position-space sums."""
+
+    @pytest.mark.parametrize("n", [25, 100])
+    @pytest.mark.parametrize("c", [5.0, 2.0, 1.0, 0.25])
+    def test_hardy_pair_width_sweep(self, scenario, c, n):
+        assert_matches_oracle(make_spec(scenario, n=n, g=1.0, delta=c * sqrt(n)))
+
+    def test_complex_amplitudes(self):
+        ens = PrePostEnsemble(normalized(1, 0.4 + 0.7j), normalized(0.8 - 0.3j, -0.5 + 0.2j))
+        spec = CollectiveSpec(ens, Observable.diagonal([0.0, 1.0]),
+                              n_pairs=60, g=1.0, delta=5.0 * sqrt(60))
+        assert spec.alphas[0].imag != 0.0
+        assert_matches_oracle(spec)
+
+    def test_shifted_eigenvalues(self):
+        ens = PrePostEnsemble(normalized(1, 1), normalized(3, -1))
+        assert_matches_oracle(CollectiveSpec(ens, Observable.diagonal([2.0, 5.0]),
+                                             n_pairs=40, g=0.07, delta=1.3))
+
+    def test_strong_single_pair_and_near_dead_branch(self, scenario):
+        assert_matches_oracle(make_spec(scenario, n=1, g=20.0, delta=1.0))
+        assert_matches_oracle(make_spec(scenario, name="N_minus_O", n=6, g=0.1, delta=2.0))
+
+    @pytest.mark.parametrize("n", [25, 100])
+    def test_density_grid(self, scenario, n):
+        spec = make_spec(scenario, n=n, g=1.0, delta=1.0 * sqrt(n))
+        grid, pdf = density_grid(spec, points=801)
+        ref_grid, ref_pdf = mpmath_oracle.density_grid(spec, points=801)
+        np.testing.assert_array_equal(grid, ref_grid)
+        np.testing.assert_allclose(pdf, ref_pdf, rtol=0.0, atol=1e-9 * ref_pdf.max())
+
+    @pytest.mark.parametrize("c, expected", [
+        (5.0, (-399.8572699983801, -399.7148452228636, 45.829573126932075)),
+        (1.0, (13.729135860957678, 15.729590712563503, 15.239719854630914)),
+    ])
+    def test_n400_pinned_to_oracle_values(self, scenario, c, expected):
+        # the oracle's own N = 400 results; too slow to recompute in the suite
+        stats = collective_pointer_stats(make_spec(scenario, n=400, g=1.0, delta=c * 20.0))
+        assert (stats.mean, stats.mode, stats.spread) == pytest.approx(expected, abs=1e-9)
+
+
+class TestQuadratureLimits:
+    # the size cap is exercised through the CLI (exit 3) in test_cli.py
+    def test_unresolved_grid_raises(self, scenario, monkeypatch):
+        # an edge that cuts into the peak leaves the step-halving check unconverged
+        monkeypatch.setattr(collective, "EDGE_LOG_DECAY", -2.0)
+        spec = make_spec(scenario, n=1, g=1.0, delta=1.0)
+        with pytest.raises(QuadratureError, match="unresolved"):
+            collective_pointer_stats(spec)
+        with pytest.raises(QuadratureError):
+            density_grid(spec)
+
+
+amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def two_level_specs(draw):
+    pre = np.array([draw(amplitudes) for _ in range(2)])
+    post = np.array([draw(amplitudes) for _ in range(2)])
+    for vec in (pre, post):
+        if np.linalg.norm(vec) < 0.1:
+            vec[0] = 1.0
+    pre, post = pre / np.linalg.norm(pre), post / np.linalg.norm(post)
+    if abs(np.vdot(post, pre)) < 0.1:
+        post = pre
+    a0 = draw(st.floats(-3.0, 3.0))
+    a1 = a0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 3.0))
+    return CollectiveSpec(PrePostEnsemble(StateVector(pre), StateVector(post)),
+                          Observable.diagonal([a0, a1]), n_pairs=1,
+                          g=draw(st.floats(0.01, 2.0)), delta=draw(st.floats(0.1, 3.0)))
+
+
+class TestProperties:
+    @given(two_level_specs())
+    def test_single_pair_equals_pointer_mixture(self, spec):
+        stats = collective_pointer_stats(spec)
+        pm = pointer.mixture(spec.ensemble, pointer.CouplingSpec(
+            spec.observable, g=spec.g, delta=spec.delta))
+        scale = max(stats.spread, abs(stats.mean))
+        assert stats.mean == pytest.approx(pointer.position_mean(pm), abs=1e-9 * scale)
+        assert stats.spread == pytest.approx(
+            sqrt(pointer.position_variance(pm)), abs=1e-9 * scale)
+
+    @given(n=st.integers(1, 60), c=st.floats(2.0, 6.0), lam=st.floats(1e-3, 1e3))
+    def test_coupling_and_width_scale_together(self, scenario, n, c, lam):
+        base = collective_pointer_stats(make_spec(scenario, n=n, g=1.0, delta=c * sqrt(n)))
+        scaled = collective_pointer_stats(
+            make_spec(scenario, n=n, g=lam, delta=lam * c * sqrt(n)))
+        tol = 1e-9 * lam * base.spread
+        assert scaled.mean == pytest.approx(lam * base.mean, abs=tol)
+        assert scaled.spread == pytest.approx(lam * base.spread, abs=tol)
+        assert scaled.mode == pytest.approx(
+            lam * base.mode, abs=2 * MODE_TOL_FACTOR * lam * c * sqrt(n))
