@@ -225,6 +225,9 @@ def _cmd_abl(params: dict, provided: set[str]):
 
 def _cmd_weak_measure(params: dict, provided: set[str]):
     _require_positive(params, "g", "delta", "trials")
+    if params["trials"] > pointer.MAX_TRIALS:
+        raise ConfigError(f"trials must be at most {pointer.MAX_TRIALS}, "
+                          f"got {params['trials']}")
     if params["seed"] is None:
         raise ConfigError("seed is required (no silent entropy); pass --seed")
     if params["seed"] < 0:
@@ -461,6 +464,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except WeakMeasError as exc:
         print(f"error: computation: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # Python floats raise where numpy would return inf
+        print(f"error: computation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     document = {

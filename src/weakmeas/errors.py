@@ -26,4 +26,4 @@ class UnsupportedConfigurationError(WeakMeasError, ValueError):
 
 
 class QuadratureError(WeakMeasError, ArithmeticError):
-    """A numerical grid could not be resolved within its size cap."""
+    """A numerical grid could not be resolved, or not within its size cap."""

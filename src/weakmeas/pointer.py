@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     AllBranchesVanishError,
     DimensionMismatchError,
+    QuadratureError,
     UnsupportedConfigurationError,
 )
 from .prepost import PrePostEnsemble, branch_amplitudes
@@ -46,6 +46,7 @@ MOMENTUM_SHIFT_FACTOR = 2.0
 SAMPLE_GRID_POINTS = 4096
 SAMPLE_GRID_PADDING = 10.0  # in units of delta
 _SAMPLE_CHUNK = 1 << 16
+MAX_TRIALS = 10**8  # 0.8 GB of float64 readings, twice that while ReadingSample copies them
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,8 @@ def position_variance(m: PointerMixture) -> float:
 
 def position_cdf(m: PointerMixture, x: np.ndarray) -> np.ndarray:
     """P(Q <= x) in closed form (mixture of error functions)."""
+    from scipy.special import erf  # deferred: scipy costs ~0.3 s at start-up
+
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w, mid = m._pair_weights()
     u = np.sqrt(2.0) * (x[:, None, None] - mid[None, :, :]) / m.delta
@@ -205,22 +208,64 @@ def _sampling_grid(m: PointerMixture, points: int = SAMPLE_GRID_POINTS) -> np.nd
     return np.linspace(-span, span, points)
 
 
+def _inverse_cdf(grid: np.ndarray, cdf: np.ndarray):
+    """The piecewise-linear inverse of a normalised CDF, as a function of u in [0, 1).
+
+    Returns exactly ``np.interp(u, cdf, grid)``: the interval j is the last
+    knot with cdf[j] <= u, and the reading is slopes[j]*(u - cdf[j]) + grid[j]
+    with numpy's precomputed slopes.  j is found with a guide table (indexed
+    search, Chen & Asau 1974): bucket k of B holds the last knot at or below
+    k/B, one step up resolves almost every u, and the few left in crowded
+    tail buckets fall back to a binary search.  B is a power of two, so u*B
+    and k/B are exact and the table never starts above the answer.
+    """
+    with np.errstate(all="ignore"):  # tail plateaus give x/0
+        slopes = np.diff(grid) / np.diff(cdf)
+    buckets = 1 << (cdf.size - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right") - 1
+
+    def invert(u: np.ndarray) -> np.ndarray:
+        j = guide[(u * buckets).astype(np.intp)]
+        j += cdf[j + 1] <= u
+        miss = np.flatnonzero(cdf[j + 1] <= u)
+        j[miss] = np.searchsorted(cdf, u[miss], side="right") - 1
+        with np.errstate(all="ignore"):
+            x = slopes[j] * (u - cdf[j]) + grid[j]
+        # an overflowed slope times u == cdf[j] is NaN; np.interp returns the knot
+        knot = np.flatnonzero(np.isnan(x))
+        x[knot] = grid[j[knot]]
+        return x
+
+    return invert
+
+
 def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
     """Draw i.i.d. readings from the position density.
 
     Inverse-CDF sampling on an adaptive grid spanning +-(max|shift| + 10*delta)
-    with 4096 points.  Uniform variates come from a Philox counter-based
-    generator keyed by (seed, chunk_index) in fixed chunks of 2^16, so the
-    stream is independent of any worker partitioning.
+    with 4096 points.  The trapezoid CDF is inverted by linear interpolation
+    through a guide table; the readings are bit-identical to
+    ``np.interp(u, cdf, grid)``.  Uniform variates come from a Philox
+    counter-based generator keyed by (seed, chunk_index) in fixed chunks of
+    2^16, so the stream is independent of any worker partitioning.  At most
+    ``MAX_TRIALS`` readings; a CDF whose total is not finite and positive
+    (the density underflowed or overflowed on the grid) raises
+    ``QuadratureError``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     grid = _sampling_grid(m)
     pdf = position_pdf(m, grid)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2.0)])
-    cdf /= cdf[-1]
+    total = cdf[-1]
+    if not (np.isfinite(total) and total > 0.0):
+        raise QuadratureError(
+            f"sampling CDF total is {total!r}, not finite and positive; "
+            f"the density is not resolved on the {grid.size}-point grid")
+    cdf /= total
+    invert = _inverse_cdf(grid, cdf)
     out = np.empty(trials)
     filled = 0
     chunk_index = 0
@@ -228,7 +273,7 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
         n = min(_SAMPLE_CHUNK, trials - filled)
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
         u = rng.random(n)
-        out[filled:filled + n] = np.interp(u, cdf, grid)
+        out[filled:filled + n] = invert(u)
         filled += n
         chunk_index += 1
     return ReadingSample(out, seed=seed, trials=trials)

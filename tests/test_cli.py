@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +15,7 @@ import pytest
 import weakmeas
 from weakmeas import verify
 from weakmeas.cli import render_json, result_schema, run
+from weakmeas.pointer import MAX_TRIALS
 
 
 def run_cli(args, capsys):
@@ -141,6 +143,14 @@ class TestWeakMeasure:
                                 "--trials", "-5", "--seed", "1"], capsys)
         assert code == 2
 
+    def test_trials_above_cap_rejected(self, capsys):
+        code, out, err = run_cli(["weak-measure", "--observable", "N_minus_O",
+                                  "--trials", str(MAX_TRIALS + 1), "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config: trials")
+        assert err.count("\n") == 1
+
 
 class TestSimultaneous:
     def test_all_marginals(self, capsys):
@@ -254,13 +264,13 @@ class TestOutputPath:
 
 class TestEntryPoint:
     def test_cold_import_skips_heavy_modules(self):
-        # mpmath is a test-only oracle; scipy.stats is imported by the check that needs it
+        # mpmath is a test-only oracle; scipy is imported by the functions that need it
         env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, weakmeas.cli; "
-             "print([m for m in ('mpmath', 'scipy.stats', 'scipy.integrate') "
-             "if m in sys.modules])"],
+             "print([m for m in sys.modules "
+             "if m.split('.')[0] in ('mpmath', 'scipy')])"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -279,3 +289,45 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: config:")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_HOSTILE = ["0", "-1", "nan", "inf", "1e-300", "1e300"]
+_FUZZ_BASE = {
+    "weak-measure": ["--observable", "N_pair_NO_NO", "--seed", "1", "--trials", "1000"],
+    "simultaneous": [],
+    "collective": ["--n-pairs", "4"],
+}
+_FUZZ_FLAGS = {
+    "weak-measure": {"--g": _HOSTILE, "--delta": _HOSTILE,
+                     "--trials": ["0", "-1", str(MAX_TRIALS + 1)]},
+    "simultaneous": {"--g": _HOSTILE, "--delta": _HOSTILE},
+    "collective": {"--g": _HOSTILE, "--c": _HOSTILE, "--delta": _HOSTILE,
+                   "--n-pairs": ["0", "-1"]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    [command, *_FUZZ_BASE[command], flag, value]
+    for command, flags in _FUZZ_FLAGS.items()
+    for flag, values in flags.items()
+    for value in values
+], ids=" ".join)
+def test_hostile_input_fails_cleanly(argv, capsys):
+    """Out-of-range numbers exit 0, 2 or 3, with strict JSON or one error line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert code in (0, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err
+    if code == 0:
+        jsonschema.validate(json.loads(out, parse_constant=_reject_constant),
+                            result_schema())
+    else:
+        assert out == ""
+        assert err.startswith(("error: config:", "error: computation:"))
+        assert err.count("\n") == 1

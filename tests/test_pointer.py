@@ -11,8 +11,13 @@ from scipy import stats
 from scipy.integrate import trapezoid
 
 from weakmeas import hardy
-from weakmeas.errors import AllBranchesVanishError, UnsupportedConfigurationError
+from weakmeas.errors import (
+    AllBranchesVanishError,
+    QuadratureError,
+    UnsupportedConfigurationError,
+)
 from weakmeas.pointer import (
+    MAX_TRIALS,
     MOMENTUM_SHIFT_FACTOR,
     CouplingSpec,
     PointerMixture,
@@ -27,6 +32,7 @@ from weakmeas.pointer import (
     simultaneous,
     window_mass,
 )
+from weakmeas.pointer import _SAMPLE_CHUNK, _inverse_cdf, _sampling_grid
 from weakmeas.prepost import PrePostEnsemble, weak_value
 from weakmeas.qcore import Observable, StateVector
 
@@ -65,6 +71,19 @@ def fft_momentum_mean(m: PointerMixture, points: int = 2**15) -> float:
     p = 2.0 * np.pi * np.fft.fftfreq(points, d=q[1] - q[0])
     dens = np.abs(ft) ** 2
     return float((p * dens).sum() / dens.sum())
+
+
+def interp_oracle(m: PointerMixture, trials: int, seed: int):
+    """The sampler's grid, CDF and uniforms, inverted by ``np.interp``."""
+    grid = _sampling_grid(m)
+    pdf = position_pdf(m, grid)
+    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2.0)])
+    cdf /= cdf[-1]
+    u = np.concatenate([
+        np.random.Generator(np.random.Philox(key=[seed, k])).random(
+            min(_SAMPLE_CHUNK, trials - k * _SAMPLE_CHUNK))
+        for k in range(-(-trials // _SAMPLE_CHUNK))])
+    return grid, cdf, np.interp(u, cdf, grid)
 
 
 class TestMixture:
@@ -242,6 +261,43 @@ class TestSampling:
             sample(pair_no_no_weak, 0, seed=1)
         with pytest.raises(ValueError):
             sample(pair_no_no_weak, 10, seed=-4)
+        with pytest.raises(ValueError, match="trials"):
+            sample(pair_no_no_weak, MAX_TRIALS + 1, seed=1)
+
+    def test_unresolved_cdf_raises(self):
+        # delta^2 underflows to 0, so the density and its CDF total are NaN
+        m = PointerMixture([0.5, -0.3], [0.0, 1.0], 1e-300)
+        with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="CDF total"):
+            sample(m, 10, seed=1)
+
+
+class TestSamplerAgainstInterp:
+    """The guide-table inversion must reproduce ``np.interp`` bit for bit."""
+
+    @pytest.mark.parametrize("g", [0.01, 0.05, 1.0, 20.0])
+    @pytest.mark.parametrize("name", hardy.OBSERVABLE_ORDER)
+    def test_hardy_observables(self, scenario, name, g):
+        m = mixture(scenario.ensemble, CouplingSpec(scenario.observable(name), g=g, delta=1.0))
+        grid, cdf, expected = interp_oracle(m, 5000, seed=31)
+        assert sample(m, 5000, seed=31).readings.tobytes() == expected.tobytes()
+        # every knot below 1 (u = 0 and the zero plateau of a far tail among
+        # them) and its two neighbouring doubles
+        knots = cdf[cdf < 1.0]
+        u = np.unique(np.concatenate([knots, np.nextafter(knots, 0.0),
+                                      np.nextafter(knots, 1.0)]))
+        u = u[u < 1.0]
+        assert _inverse_cdf(grid, cdf)(u).tobytes() == np.interp(u, cdf, grid).tobytes()
+
+    def test_complex_coefficients(self, complex_ensemble):
+        obs = Observable.diagonal([0.0, 1.0])
+        m = mixture(complex_ensemble, CouplingSpec(obs, g=0.3, delta=0.7))
+        _, _, expected = interp_oracle(m, 20_000, seed=4)
+        assert sample(m, 20_000, seed=4).readings.tobytes() == expected.tobytes()
+
+    def test_chunk_edge(self, pair_no_no_weak):
+        trials = _SAMPLE_CHUNK + 3
+        _, _, expected = interp_oracle(pair_no_no_weak, trials, seed=8)
+        assert sample(pair_no_no_weak, trials, seed=8).readings.tobytes() == expected.tobytes()
 
 
 class TestCouplingSpec:
