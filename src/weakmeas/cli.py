@@ -2,8 +2,9 @@
 
 Every command emits one JSON document (or CSV table with ``--format csv``)
 to ``--output-path`` or standard output.  Documents are deterministic for a
-given command line: the ``timing_ms`` field stays ``null`` unless ``--timing``
-is passed, and all Monte Carlo commands require an explicit seed.
+given command line: the ``timing_ms`` field stays ``null`` (and ``verify``
+criteria carry no ``elapsed_ms``) unless ``--timing`` is passed, and all
+Monte Carlo commands require an explicit seed.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 computation error.  Errors print a single machine-parsable line
@@ -349,6 +350,8 @@ def _cmd_verify(params: dict, provided: set[str]):
               f"({outcome.elapsed_ms:.0f} ms)", file=sys.stderr)
         results[name] = {"criterion": num, "passed": outcome.passed,
                          "detail": outcome.detail}
+        if params["timing"]:
+            results[name]["elapsed_ms"] = round(outcome.elapsed_ms, 3)
         rows.append((num, name, outcome.passed, outcome.detail))
         failed += 0 if outcome.passed else 1
     return results, {}, ([] if failed == 0 else [f"{failed} criteria failed"]), rows

@@ -46,7 +46,8 @@ MOMENTUM_SHIFT_FACTOR = 2.0
 SAMPLE_GRID_POINTS = 4096
 SAMPLE_GRID_PADDING = 10.0  # in units of delta
 _SAMPLE_CHUNK = 1 << 16
-MAX_TRIALS = 10**8  # 0.8 GB of float64 readings, twice that while ReadingSample copies them
+MAX_TRIALS = 10**8  # 0.8 GB of float64 readings, held once: sample hands its buffer over
+SAMPLE_CDF_TOL = 1e-6  # |trapezoid CDF total - 1| beyond this: the grid misses the density
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,16 @@ class ReadingSample:
         readings.setflags(write=False)
         object.__setattr__(self, "readings", readings)
 
+    @classmethod
+    def _adopt(cls, readings: np.ndarray, seed: int) -> "ReadingSample":
+        """Wrap a fresh 1-D float64 buffer that no one else holds, without a copy."""
+        readings.setflags(write=False)
+        out = cls.__new__(cls)
+        object.__setattr__(out, "readings", readings)
+        object.__setattr__(out, "seed", seed)
+        object.__setattr__(out, "trials", readings.size)
+        return out
+
 
 @dataclass(frozen=True)
 class WeakEstimate:
@@ -248,9 +259,10 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
     ``np.interp(u, cdf, grid)``.  Uniform variates come from a Philox
     counter-based generator keyed by (seed, chunk_index) in fixed chunks of
     2^16, so the stream is independent of any worker partitioning.  At most
-    ``MAX_TRIALS`` readings; a CDF whose total is not finite and positive
-    (the density underflowed or overflowed on the grid) raises
-    ``QuadratureError``.
+    ``MAX_TRIALS`` readings.  The pdf is divided by its closed-form
+    normalisation, so the trapezoid CDF total should be 1; a total further
+    than ``SAMPLE_CDF_TOL`` from 1 (the grid cannot resolve the density, or
+    it underflowed or overflowed) raises ``QuadratureError``.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
@@ -259,10 +271,10 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
     grid = _sampling_grid(m)
     pdf = position_pdf(m, grid)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2.0)])
-    total = cdf[-1]
-    if not (np.isfinite(total) and total > 0.0):
+    total = float(cdf[-1])
+    if not abs(total - 1.0) <= SAMPLE_CDF_TOL:
         raise QuadratureError(
-            f"sampling CDF total is {total!r}, not finite and positive; "
+            f"sampling CDF total is {total!r}, not 1 within {SAMPLE_CDF_TOL:g}; "
             f"the density is not resolved on the {grid.size}-point grid")
     cdf /= total
     invert = _inverse_cdf(grid, cdf)
@@ -276,7 +288,7 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
         out[filled:filled + n] = invert(u)
         filled += n
         chunk_index += 1
-    return ReadingSample(out, seed=seed, trials=trials)
+    return ReadingSample._adopt(out, seed)
 
 
 def estimate(s: ReadingSample, g: float) -> WeakEstimate:

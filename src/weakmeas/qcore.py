@@ -20,6 +20,7 @@ from .errors import DimensionMismatchError
 
 ATOL = 1e-12
 EIG_GROUP_TOL = 1e-10
+_PAIR_BLOCK = 1 << 18  # complex entries of P_i P_j products held at once (4 MB)
 
 
 def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
@@ -95,24 +96,34 @@ class Observable:
         mat = _frozen(np.asarray(self.matrix))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("observable matrix must be square")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        if np.abs(mat - mat.conj().T).max() > ATOL:
             raise ValueError("observable matrix is not Hermitian within 1e-12")
-        projs = tuple(_frozen(p) for p in self.projectors)
         evals = tuple(float(a) for a in self.eigenvalues)
-        if len(projs) != len(evals) or not projs:
+        if len(self.projectors) != len(evals) or not evals:
             raise ValueError("need one projector per eigenvalue")
-        dim = mat.shape[0]
-        ident = np.eye(dim)
-        if np.max(np.abs(sum(projs) - ident)) > ATOL:
+        if any(np.shape(p) != mat.shape for p in self.projectors):
+            raise ValueError(f"every projector must have the matrix shape {mat.shape}")
+        # the family is checked as one (k, d, d) stack, one array pass per identity
+        stack = _frozen(self.projectors)
+        k, dim = stack.shape[:2]
+        if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > ATOL:
             raise ValueError("projectors do not sum to the identity")
-        for i, p in enumerate(projs):
-            for j, q in enumerate(projs):
-                expect = p if i == j else 0.0
-                if np.max(np.abs(p @ q - expect)) > ATOL:
-                    raise ValueError("projector family is not orthogonal")
-        recon = sum(a * p for a, p in zip(evals, projs))
-        if np.max(np.abs(recon - mat)) > ATOL:
+        # P_i P_j for every pair from one matrix product, rows (i, a) by
+        # columns (j, c); a family too large for one block goes a few i at a time
+        right = stack.transpose(1, 0, 2).reshape(dim, k * dim)
+        rows = max(1, _PAIR_BLOCK // (k * dim * dim))
+        for lo in range(0, k, rows):
+            block = stack[lo:lo + rows]
+            n = len(block)
+            prods = (block.reshape(n * dim, dim) @ right).reshape(n, dim, k, dim)
+            same = np.einsum("iaic->iac", prods[:, :, lo:lo + n])  # view of the i == j pairs
+            same -= block
+            if np.abs(prods).max() > ATOL:
+                raise ValueError("projector family is not orthogonal")
+        recon = (np.array(evals)[:, None, None] * stack).sum(axis=0)
+        if np.abs(recon - mat).max() > ATOL:
             raise ValueError("spectral reconstruction does not match matrix")
+        projs = tuple(stack)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "eigenvalues", evals)
         object.__setattr__(self, "projectors", projs)
@@ -151,17 +162,19 @@ class Observable:
         1e-10 of each other share one projector.
         """
         mat = np.asarray(matrix, dtype=complex)
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        if np.abs(mat - mat.conj().T).max() > ATOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
         evals, vecs = np.linalg.eigh(mat)
+        values = evals.tolist()
         pairs = []
         k = 0
-        while k < evals.size:
+        while k < len(values):
             j = k
-            while j + 1 < evals.size and evals[j + 1] - evals[k] <= EIG_GROUP_TOL:
+            while j + 1 < len(values) and values[j + 1] - values[k] <= EIG_GROUP_TOL:
                 j += 1
             block = vecs[:, k:j + 1]
-            pairs.append((float(np.mean(evals[k:j + 1])), block @ block.conj().T))
+            a = values[k] if j == k else float(np.mean(evals[k:j + 1]))
+            pairs.append((a, block @ block.conj().T))
             k = j + 1
         evs = tuple(a for a, _ in pairs)
         projs = tuple(p for _, p in pairs)
@@ -169,7 +182,7 @@ class Observable:
         # spectral identities hold at 1e-12 even when grouping snapped
         # nearly-degenerate eigenvalues together
         recon = sum(a * p for a, p in pairs)
-        if np.max(np.abs(recon - mat)) > 1e-9:
+        if np.abs(recon - mat).max() > 1e-9:
             raise ValueError("eigenvalue grouping lost too much accuracy")
         return cls(recon, evs, projs, name=name)
 

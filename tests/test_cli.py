@@ -143,6 +143,16 @@ class TestWeakMeasure:
                                 "--trials", "-5", "--seed", "1"], capsys)
         assert code == 2
 
+    def test_pointer_wider_than_grid_resolution_exits_3(self, capsys):
+        # 4096 points over +-1e300 cannot resolve a width-1 pointer; the
+        # estimate used to come out as 0.99975 against the strong-limit 0.2
+        code, out, err = run_cli(["weak-measure", "--observable", "N_pair_NO_NO",
+                                  "--g", "1e300", "--seed", "1", "--trials", "1000"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: computation: sampling CDF total")
+        assert err.count("\n") == 1
+
     def test_trials_above_cap_rejected(self, capsys):
         code, out, err = run_cli(["weak-measure", "--observable", "N_minus_O",
                                   "--trials", str(MAX_TRIALS + 1), "--seed", "1"], capsys)
@@ -203,6 +213,17 @@ class TestVerify:
         assert not outcome.passed
         assert "RuntimeError: check blew up" in outcome.detail
         assert verify.run_check(2).passed
+
+    def test_elapsed_ms_only_under_timing(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:2])
+        plain = run_json(["verify"], capsys)
+        timed = run_json(["verify", "--timing"], capsys)
+        assert plain["timing_ms"] is None
+        assert set(timed["results"]) == set(plain["results"])
+        for name, entry in timed["results"].items():
+            assert "elapsed_ms" not in plain["results"][name]
+            assert entry.pop("elapsed_ms") >= 0.0
+            assert entry == plain["results"][name]
 
     def test_report_continues_past_a_raising_check(self, broken_check, capsys):
         code, out, _ = run_cli(["verify"], capsys)

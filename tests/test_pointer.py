@@ -5,6 +5,8 @@ brute-force quadrature for position moments, an FFT momentum-space grid for
 the momentum mean, and a Kolmogorov-Smirnov test for the sampler.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,6 +23,7 @@ from weakmeas.pointer import (
     MOMENTUM_SHIFT_FACTOR,
     CouplingSpec,
     PointerMixture,
+    ReadingSample,
     estimate,
     mixture,
     momentum_mean,
@@ -269,6 +272,34 @@ class TestSampling:
         m = PointerMixture([0.5, -0.3], [0.0, 1.0], 1e-300)
         with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="CDF total"):
             sample(m, 10, seed=1)
+
+    @pytest.mark.parametrize("g", [3000.0, 1e300])
+    def test_grid_too_coarse_for_the_pointer_raises(self, scenario, g):
+        # the CDF total misses 1 by 0.15 at g = 3000 and overflows at g = 1e300
+        m = mixture(scenario.ensemble, CouplingSpec(scenario.observable("N_pair_NO_NO"),
+                                                    g=g, delta=1.0))
+        with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="CDF total"):
+            sample(m, 10, seed=1)
+
+    def test_readings_held_once(self, pair_no_no_weak):
+        sample(pair_no_no_weak, 1000, seed=1)
+        tracemalloc.start()
+        try:
+            readings = sample(pair_no_no_weak, 10**6, seed=1).readings
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert readings.size == 10**6
+        assert not readings.flags.writeable
+        assert peak < 12e6  # 8 MB of readings plus one chunk of work
+
+    def test_caller_array_is_copied(self):
+        own = np.array([0.5, -1.0, 2.0])
+        reading = ReadingSample(own, seed=1, trials=3)
+        own[0] = 99.0
+        assert own.flags.writeable
+        assert reading.readings.tolist() == [0.5, -1.0, 2.0]
+        assert not reading.readings.flags.writeable
 
 
 class TestSamplerAgainstInterp:
