@@ -296,9 +296,18 @@ def estimate(s: ReadingSample, g: float) -> WeakEstimate:
     if g <= 0.0:
         raise ValueError("g must be positive")
     per_trial = s.readings / g
-    est = float(per_trial.mean())
-    err = float(per_trial.std(ddof=1) / np.sqrt(s.trials)) if s.trials > 1 else 0.0
-    return WeakEstimate(estimate=est, stderr=err, trials=s.trials)
+    n = s.trials
+    # std(ddof=1) step by step as numpy computes it (same bits), but in place
+    # on per_trial, so no second reading-sized temporary is made
+    mean = per_trial.sum(keepdims=True)
+    mean /= n
+    est = float(mean[0])
+    err = 0.0
+    if n > 1:
+        per_trial -= mean
+        np.square(per_trial, out=per_trial)
+        err = float(np.sqrt(per_trial.sum() / (n - 1)) / np.sqrt(n))
+    return WeakEstimate(estimate=est, stderr=err, trials=n)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,11 @@ class Observable:
         mat = _frozen(np.asarray(self.matrix))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("observable matrix must be square")
-        if np.abs(mat - mat.conj().T).max() > ATOL:
+        # NaN fails every comparison, so the checks below read
+        # not (deviation <= tol): a NaN eigenvalue or projector fails them too
+        if not np.isfinite(mat).all():
+            raise ValueError("observable matrix is not finite")
+        if not np.abs(mat - mat.conj().T).max() <= ATOL:
             raise ValueError("observable matrix is not Hermitian within 1e-12")
         evals = tuple(float(a) for a in self.eigenvalues)
         if len(self.projectors) != len(evals) or not evals:
@@ -106,7 +110,7 @@ class Observable:
         # the family is checked as one (k, d, d) stack, one array pass per identity
         stack = _frozen(self.projectors)
         k, dim = stack.shape[:2]
-        if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > ATOL:
+        if not np.abs(stack.sum(axis=0) - np.eye(dim)).max() <= ATOL:
             raise ValueError("projectors do not sum to the identity")
         # P_i P_j for every pair from one matrix product, rows (i, a) by
         # columns (j, c); a family too large for one block goes a few i at a time
@@ -118,10 +122,10 @@ class Observable:
             prods = (block.reshape(n * dim, dim) @ right).reshape(n, dim, k, dim)
             same = np.einsum("iaic->iac", prods[:, :, lo:lo + n])  # view of the i == j pairs
             same -= block
-            if np.abs(prods).max() > ATOL:
+            if not np.abs(prods).max() <= ATOL:
                 raise ValueError("projector family is not orthogonal")
         recon = (np.array(evals)[:, None, None] * stack).sum(axis=0)
-        if np.abs(recon - mat).max() > ATOL:
+        if not np.abs(recon - mat).max() <= ATOL:
             raise ValueError("spectral reconstruction does not match matrix")
         projs = tuple(stack)
         object.__setattr__(self, "matrix", mat)
@@ -162,7 +166,9 @@ class Observable:
         1e-10 of each other share one projector.
         """
         mat = np.asarray(matrix, dtype=complex)
-        if np.abs(mat - mat.conj().T).max() > ATOL:
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix is not finite")
+        if not np.abs(mat - mat.conj().T).max() <= ATOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
         evals, vecs = np.linalg.eigh(mat)
         values = evals.tolist()
@@ -182,7 +188,7 @@ class Observable:
         # spectral identities hold at 1e-12 even when grouping snapped
         # nearly-degenerate eigenvalues together
         recon = sum(a * p for a, p in pairs)
-        if np.abs(recon - mat).max() > 1e-9:
+        if not np.abs(recon - mat).max() <= 1e-9:
             raise ValueError("eigenvalue grouping lost too much accuracy")
         return cls(recon, evs, projs, name=name)
 

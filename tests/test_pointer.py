@@ -259,6 +259,27 @@ class TestSampling:
         assert est.stderr == pytest.approx(manual.std(ddof=1) / np.sqrt(1000))
         assert est.trials == 1000
 
+    @pytest.mark.parametrize("n", [2, 3, 1000, 65537, 10**6])
+    @pytest.mark.parametrize("g", [0.05, 0.013, 1.0])
+    def test_estimate_bits_match_mean_and_std(self, n, g):
+        readings = np.random.default_rng(n).normal(0.03, 0.7, n)
+        est = estimate(ReadingSample(readings, seed=1, trials=n), g)
+        per_trial = readings / g
+        assert est.estimate == float(per_trial.mean())
+        assert est.stderr == float(per_trial.std(ddof=1) / np.sqrt(n))
+
+    def test_estimate_keeps_one_reading_sized_temporary(self):
+        reading = ReadingSample(np.random.default_rng(1).normal(0.0, 1.0, 10**6),
+                                seed=1, trials=10**6)
+        estimate(reading, 0.05)
+        tracemalloc.start()
+        try:
+            estimate(reading, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6  # readings / g is 8 MB; std(ddof=1) would add 8 MB more
+
     def test_invalid_args(self, pair_no_no_weak):
         with pytest.raises(ValueError):
             sample(pair_no_no_weak, 0, seed=1)

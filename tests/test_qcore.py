@@ -408,3 +408,28 @@ class TestStackedValidation:
         near = u @ np.diag([1.0, 1.0 + 3e-11, 3.0]) @ u.conj().T
         for h in (near, _collective_total()):
             self.assert_bit_identical(h)
+
+
+class TestNonFinite:
+    # every check is a max compared with a tolerance, and a NaN max compares False
+    P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_constructor_rejects_non_finite_matrix(self, bad):
+        with pytest.raises(ValueError, match="observable matrix is not finite"):
+            Observable(np.full((2, 2), bad), (0.0, 1.0), (self.P0, self.P1))
+        with pytest.raises(ValueError, match="observable matrix is not finite"):
+            Observable(np.diag([1.0, bad]), (0.0, 1.0), (self.P0, self.P1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_matrix_rejects_non_finite_matrix(self, bad):
+        with pytest.raises(ValueError, match="matrix is not finite"):
+            Observable.from_matrix(np.diag([1.0, bad]))
+
+    def test_nan_eigenvalue_with_finite_projectors(self):
+        with pytest.raises(ValueError, match="spectral reconstruction does not match matrix"):
+            Observable(np.diag([1.0, 0.0]), (1.0, np.nan), (self.P0, self.P1))
+
+    def test_nan_projector(self):
+        with pytest.raises(ValueError, match="projectors do not sum to the identity"):
+            Observable(np.diag([1.0, 0.0]), (1.0, 0.0), (np.diag([1.0, np.nan]), self.P1))
