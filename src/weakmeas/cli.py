@@ -26,6 +26,7 @@ import math
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -95,7 +96,7 @@ def result_schema() -> dict:
 
 def _parse_config_file(path: str) -> dict:
     try:
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}

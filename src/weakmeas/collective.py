@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .pointer import PointerMixture, SAMPLE_GRID_PADDING
+from .pointer import SAMPLE_GRID_PADDING
 from .prepost import PrePostEnsemble, branch_amplitudes, weak_value
 from .qcore import Observable
 
@@ -80,85 +80,11 @@ class CollectiveSpec:
 
 
 @dataclass(frozen=True)
-class CollectiveMixture:
-    """The N+1 term pointer mixture in log-magnitude/phase form."""
-
-    n_pairs: int
-    alphas: tuple[complex, complex]
-    eigenvalues: tuple[float, float]
-    g: float
-    delta: float
-    log_magnitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        for nm in ("log_magnitudes", "phases"):
-            arr = np.array(getattr(self, nm), dtype=float)
-            if arr.size != self.n_pairs + 1:
-                raise ValueError(f"{nm} must have N+1 entries")
-            arr.setflags(write=False)
-            object.__setattr__(self, nm, arr)
-
-    @property
-    def shifts(self) -> np.ndarray:
-        a0, a1 = self.eigenvalues
-        k = np.arange(self.n_pairs + 1)
-        return self.g * (self.n_pairs * a0 + (a1 - a0) * k)
-
-    def coefficient(self, k: int) -> complex:
-        """Materialize c_k as a double; may under/overflow for extreme N."""
-        logmag = self.log_magnitudes[k]
-        if logmag == -np.inf:
-            mag = 0.0
-        elif logmag > 709.0:  # above log(float max)
-            mag = math.inf
-        else:
-            mag = math.exp(logmag)
-        return mag * complex(math.cos(self.phases[k]), math.sin(self.phases[k]))
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.coefficient(k) for k in range(self.n_pairs + 1)])
-
-    def to_pointer_mixture(self) -> PointerMixture:
-        """Double-precision view; valid while the coefficients fit in floats."""
-        return PointerMixture(self.coefficients(), self.shifts, self.delta)
-
-
-@dataclass(frozen=True)
 class CollectiveStats:
     mean: float
     mode: float
     spread: float
     warnings: tuple[str, ...]
-
-
-def collective_mixture(spec: CollectiveSpec) -> CollectiveMixture:
-    """Binomial mixture of the collective coupling; equals pointer.mixture at N=1."""
-    if spec.n_pairs < 1:
-        raise ValueError("collective_mixture requires n_pairs >= 1")
-    alpha0, alpha1 = spec.alphas
-    n = spec.n_pairs
-    logmag = np.empty(n + 1)
-    phase = np.empty(n + 1)
-    for k in range(n + 1):
-        if (k > 0 and alpha1 == 0) or (k < n and alpha0 == 0):
-            logmag[k] = -np.inf
-            phase[k] = 0.0
-            continue
-        logmag[k] = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                     + (k * math.log(abs(alpha1)) if k else 0.0)
-                     + ((n - k) * math.log(abs(alpha0)) if k < n else 0.0))
-        phase[k] = k * np.angle(alpha1) + (n - k) * np.angle(alpha0)
-    return CollectiveMixture(
-        n_pairs=n,
-        alphas=(alpha0, alpha1),
-        eigenvalues=(float(spec.observable.eigenvalues[0]),
-                     float(spec.observable.eigenvalues[1])),
-        g=spec.g,
-        delta=spec.delta,
-        log_magnitudes=logmag,
-        phases=phase,
-    )
 
 
 def collective_weak_value(spec: CollectiveSpec) -> complex:

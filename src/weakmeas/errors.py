@@ -22,7 +22,7 @@ class AllBranchesVanishError(WeakMeasError, ValueError):
 
 
 class UnsupportedConfigurationError(WeakMeasError, ValueError):
-    """Requested a simultaneous measurement the solver cannot handle."""
+    """A simultaneous measurement would need more than pointer.MAX_JOINT_TERMS branches."""
 
 
 class QuadratureError(WeakMeasError, ArithmeticError):

@@ -9,8 +9,11 @@ leaves the pointer in a weighted sum of shifted Gaussians,
 
 one term per distinct eigenvalue a_i.  All read-out statistics (position and
 momentum means, cumulative masses, variances) follow in closed form from
-Gaussian overlap integrals; Monte Carlo read-out sampling and simultaneous
-multi-pointer couplings are built on top.
+Gaussian overlap integrals; Monte Carlo read-out sampling is built on top.
+Several pointers coupled at once, to any family of observables, commuting
+or not, are the same closed form with one term per non-vanishing product
+of projectors, at most MAX_JOINT_TERMS of them; a single pointer is the
+one-observable case.
 
 Conventions.  The Gaussian profile carries no normalization constant; the
 overall normalization of |phi|^2 is tracked separately.  With this profile a
@@ -35,7 +38,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .prepost import PrePostEnsemble, branch_amplitudes
-from .qcore import EIG_GROUP_TOL, Observable
+from .qcore import Observable
 
 # Mean pointer momentum after post-selection, weak limit:
 #   <P> = MOMENTUM_SHIFT_FACTOR * g * Im(A_w) / delta^2
@@ -48,6 +51,7 @@ SAMPLE_GRID_PADDING = 10.0  # in units of delta
 _SAMPLE_CHUNK = 1 << 16
 MAX_TRIALS = 10**8  # 0.8 GB of float64 readings, held once: sample hands its buffer over
 SAMPLE_CDF_TOL = 1e-6  # |trapezoid CDF total - 1| beyond this: the grid misses the density
+MAX_JOINT_TERMS = 2**10  # branches of a simultaneous coupling, checked before each expansion
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,25 @@ class CouplingSpec:
         return self.g * self.spectral_span < self.delta
 
 
+def _overlap_weights(coeffs: np.ndarray, shifts, deltas) -> tuple[np.ndarray, np.ndarray]:
+    """Pair weights Re(c_i* c_j)*K_ij of a Gaussian mixture over one or more pointers.
+
+    K_ij = prod_m exp(-(s_mi - s_mj)^2 / (2 delta_m^2)) is the overlap kernel
+    of terms i and j; returns (weights, K).
+    """
+    kernel = np.ones((coeffs.size, coeffs.size))
+    for s, delta in zip(shifts, deltas):
+        kernel *= np.exp(-np.subtract.outer(s, s) ** 2 / (2.0 * delta**2))
+    return np.real(np.outer(coeffs.conj(), coeffs)) * kernel, kernel
+
+
 @dataclass(frozen=True)
 class PointerMixture:
-    """Post-selected pointer wavefunction: coefficients, shifts and width."""
+    """Post-selected pointer wavefunction: coefficients, shifts and width.
+
+    The overlap kernel, the pair weights and the pair midpoints (s_i + s_j)/2
+    are computed once, at construction; the closed forms below read them.
+    """
 
     coefficients: np.ndarray
     shifts: np.ndarray
@@ -95,20 +115,16 @@ class PointerMixture:
         shifts.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "shifts", shifts)
-
-    def _pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Overlap weights Re(ci* cj)*Kij and pair midpoints (si+sj)/2."""
-        s = self.shifts
-        k = np.exp(-np.subtract.outer(s, s) ** 2 / (2.0 * self.delta**2))
-        w = np.real(np.outer(self.coefficients.conj(), self.coefficients)) * k
-        mid = np.add.outer(s, s) / 2.0
-        return w, mid
+        weights, kernel = _overlap_weights(coeffs, [shifts], [self.delta])
+        for name, arr in (("_weights", weights), ("_kernel", kernel),
+                          ("_mid", np.add.outer(shifts, shifts) / 2.0)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def normalization(self) -> float:
         """Integral of |phi|^2 over the line, in closed form."""
-        w, _ = self._pair_weights()
-        return float(self.delta * np.sqrt(np.pi / 2.0) * w.sum())
+        return float(self.delta * np.sqrt(np.pi / 2.0) * self._weights.sum())
 
     def wavefunction(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -136,12 +152,11 @@ def position_pdf(m: PointerMixture, q_grid: np.ndarray) -> np.ndarray:
 
 def position_mean(m: PointerMixture) -> float:
     """<Q> in closed form via Gaussian overlap integrals."""
-    w, mid = m._pair_weights()
-    return float((w * mid).sum() / w.sum())
+    return float((m._weights * m._mid).sum() / m._weights.sum())
 
 
 def position_variance(m: PointerMixture) -> float:
-    w, mid = m._pair_weights()
+    w, mid = m._weights, m._mid
     total = w.sum()
     mean = (w * mid).sum() / total
     second = (w * (mid**2 + m.delta**2 / 4.0)).sum() / total
@@ -153,7 +168,7 @@ def position_cdf(m: PointerMixture, x: np.ndarray) -> np.ndarray:
     from scipy.special import erf  # deferred: scipy costs ~0.3 s at start-up
 
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    w, mid = m._pair_weights()
+    w, mid = m._weights, m._mid
     u = np.sqrt(2.0) * (x[:, None, None] - mid[None, :, :]) / m.delta
     vals = (w[None, :, :] * 0.5 * (1.0 + erf(u))).sum(axis=(1, 2)) / w.sum()
     return vals
@@ -174,11 +189,9 @@ def momentum_mean(m: PointerMixture) -> float:
     it vanishes identically for real coefficients.
     """
     s = m.shifts
-    k = np.exp(-np.subtract.outer(s, s) ** 2 / (2.0 * m.delta**2))
     cpair = np.outer(m.coefficients.conj(), m.coefficients)
-    num = (np.imag(cpair) * (-np.subtract.outer(s, s)) * k).sum()
-    den = (np.real(cpair) * k).sum()
-    return float(num / (m.delta**2 * den))
+    num = (np.imag(cpair) * (-np.subtract.outer(s, s)) * m._kernel).sum()
+    return float(num / (m.delta**2 * m._weights.sum()))
 
 
 @dataclass(frozen=True)
@@ -314,107 +327,21 @@ def estimate(s: ReadingSample, g: float) -> WeakEstimate:
 # Simultaneous measurements
 # ---------------------------------------------------------------------------
 
-def _all_commute(observables: list[Observable], tol: float = EIG_GROUP_TOL) -> bool:
-    for i, a in enumerate(observables):
-        for b in observables[i + 1:]:
-            if np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix)) > tol:
-                return False
-    return True
-
-
-def _joint_blocks(observables: list[Observable], tol: float = EIG_GROUP_TOL):
-    """Common eigenspaces of a commuting family.
-
-    Refines the full space by eigendecomposing each observable restricted to
-    the current blocks; eigenvalues within ``tol`` share a block.  Returns a
-    list of (basis columns, eigenvalue tuple).
-    """
-    dim = observables[0].dim
-    blocks: list[tuple[np.ndarray, tuple[float, ...]]] = [
-        (np.eye(dim, dtype=complex), ())]
-    for a in observables:
-        refined = []
-        for basis, eigs in blocks:
-            sub = basis.conj().T @ a.matrix @ basis
-            evals, vecs = np.linalg.eigh(sub)
-            k = 0
-            while k < evals.size:
-                j = k
-                while j + 1 < evals.size and evals[j + 1] - evals[k] <= tol:
-                    j += 1
-                cols = basis @ vecs[:, k:j + 1]
-                refined.append((cols, eigs + (float(np.mean(evals[k:j + 1])),)))
-                k = j + 1
-        blocks = refined
-    return blocks
-
-
-def _simultaneous_commuting(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]:
-    blocks = _joint_blocks([s.observable for s in specs])
-    gammas = []
-    eig_table = []
-    for basis, eigs in blocks:
-        gamma = (ens.post.amplitudes.conj() @ basis) @ (basis.conj().T @ ens.pre.amplitudes)
-        gammas.append(gamma)
-        eig_table.append(eigs)
-    gammas = np.array(gammas)
-    shifts = np.array([[spec.g * eigs[m] for eigs in eig_table]
-                       for m, spec in enumerate(specs)])  # (n_pointers, n_blocks)
-    kprod = np.ones((gammas.size, gammas.size))
-    for m, spec in enumerate(specs):
-        diff = np.subtract.outer(shifts[m], shifts[m])
-        kprod *= np.exp(-(diff**2) / (2.0 * spec.delta**2))
-    weights = np.real(np.outer(gammas.conj(), gammas)) * kprod
-    total = weights.sum()
-    means = []
-    for m in range(len(specs)):
-        mid = np.add.outer(shifts[m], shifts[m]) / 2.0
-        means.append(float((weights * mid).sum() / total))
-    return means
-
-
-def _simultaneous_grid(ens: PrePostEnsemble, specs: list[CouplingSpec],
-                       points: int = 256) -> list[float]:
-    """Brute-force two-pointer evolution on discretized grids.
-
-    Applies exp(-i*g1*P1*A) * exp(-i*g2*P2*B) to system x pointer x pointer,
-    post-selects, and reads the marginal means off the joint density.  Grids
-    are periodic FFT grids padded far into the Gaussian tails.
-    """
-    spec1, spec2 = specs
-    grids, freqs, gaussians = [], [], []
-    for spec in (spec1, spec2):
-        span = spec.g * max(abs(a) for a in spec.observable.eigenvalues) + 8.0 * spec.delta
-        q = np.linspace(-span, span, points, endpoint=False)
-        grids.append(q)
-        freqs.append(2.0 * np.pi * np.fft.fftfreq(points, d=q[1] - q[0]))
-        gaussians.append(np.exp(-(q**2) / spec.delta**2))
-    state = (ens.pre.amplitudes[:, None, None]
-             * gaussians[0][None, :, None] * gaussians[1][None, None, :])
-    # rightmost factor acts first
-    for axis, spec in ((2, spec2), (1, spec1)):
-        ft = np.fft.fft(state, axis=axis)
-        shaped = freqs[axis - 1][:, None] if axis == 1 else freqs[axis - 1][None, :]
-        evolved = np.zeros_like(ft)
-        for a, proj in zip(spec.observable.eigenvalues, spec.observable.projectors):
-            comp = np.tensordot(proj, ft, axes=([1], [0]))
-            evolved += comp * np.exp(-1j * spec.g * a * shaped)[None, :, :]
-        state = np.fft.ifft(evolved, axis=axis)
-    joint = np.tensordot(ens.post.amplitudes.conj(), state, axes=([0], [0]))
-    density = np.abs(joint) ** 2
-    means = []
-    for axis, q in enumerate(grids):
-        marginal = density.sum(axis=1 - axis)
-        means.append(float((q * marginal).sum() / marginal.sum()))
-    return means
-
-
 def simultaneous(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]:
     """Marginal position means of several pointers coupled at once.
 
-    Commuting families of any size run through the joint-eigenbasis closed
-    form; exactly two non-commuting observables run through the grid
-    evolution.  In the weak regime each mean/g_k approaches Re(A_k,w).
+    The couplings are impulsive, so after post-selection the n pointers are in
+
+        sum_t  c_t * prod_m exp(-(Q_m - g_m*a_{m,t_m})^2 / delta_m^2),
+        c_t = <post|P^{A_1}_{t_1} ... P^{A_n}_{t_n}|pre>,
+
+    the last coupling in ``specs`` acting first.  One closed form serves every
+    family, commuting or not: <post| is multiplied through each projector
+    stack in turn, and a branch whose row vector is exactly zero is dropped
+    (a commuting family keeps one branch per joint eigenspace).  Live
+    branches times the next spectrum size may not exceed ``MAX_JOINT_TERMS``;
+    beyond it ``UnsupportedConfigurationError`` is raised.  In the weak
+    regime each mean/g_m approaches Re(A_m,w).
     """
     if not specs:
         raise ValueError("specs must be non-empty")
@@ -422,9 +349,22 @@ def simultaneous(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]
         if spec.observable.dim != ens.dim:
             raise DimensionMismatchError(
                 f"observable dim {spec.observable.dim} != ensemble dim {ens.dim}")
-    if _all_commute([s.observable for s in specs]):
-        return _simultaneous_commuting(ens, specs)
-    if len(specs) == 2:
-        return _simultaneous_grid(ens, specs)
-    raise UnsupportedConfigurationError(
-        "more than two mutually non-commuting observables are not supported")
+    rows = ens.post.amplitudes.conj()[None, :]
+    branches = np.zeros((1, 0), dtype=np.intp)  # eigenvalue index t_m of each live branch
+    for spec in specs:
+        stack = np.array(spec.observable.projectors)
+        k = len(stack)
+        if len(rows) * k > MAX_JOINT_TERMS:
+            raise UnsupportedConfigurationError(
+                f"{len(rows)} live branches times {k} eigenvalues exceeds "
+                f"MAX_JOINT_TERMS = {MAX_JOINT_TERMS}")
+        rows = (rows[:, None, None, :] @ stack).reshape(-1, ens.dim)
+        branches = np.column_stack([np.repeat(branches, k, axis=0),
+                                    np.tile(np.arange(k), len(branches))])
+        live = np.any(rows != 0.0, axis=1)
+        rows, branches = rows[live], branches[live]
+    shifts = [spec.g * np.array(spec.observable.eigenvalues)[branches[:, m]]
+              for m, spec in enumerate(specs)]
+    w, _ = _overlap_weights(rows @ ens.pre.amplitudes, shifts, [s.delta for s in specs])
+    total = w.sum()
+    return [float((w * (np.add.outer(s, s) / 2.0)).sum() / total) for s in shifts]

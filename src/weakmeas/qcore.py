@@ -255,17 +255,3 @@ def op_tensor(a: Observable, b: Observable) -> Observable:
         for bv, bp in zip(b.eigenvalues, b.projectors):
             pairs.append((av * bv, np.kron(ap, bp)))
     return Observable.from_projectors([v for v, _ in pairs], [p for _, p in pairs])
-
-
-def apply(a: Observable, s: StateVector) -> StateVector:
-    _check_same_dim(a.dim, s.dim, "apply")
-    return StateVector(a.matrix @ s.amplitudes, s.labels)
-
-
-def expectation(a: Observable, s: StateVector) -> float:
-    """<s|A|s> for normalized s; real by Hermiticity."""
-    _check_same_dim(a.dim, s.dim, "expectation")
-    if not s.is_normalized:
-        raise ValueError("expectation requires a normalized state")
-    val = np.vdot(s.amplitudes, a.matrix @ s.amplitudes)
-    return float(val.real)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import ceil, pi, sqrt
+from math import ceil, comb, pi, sqrt
 
 import numpy as np
 
@@ -31,6 +31,16 @@ MC_SEED = 20260810
 ADDITIVITY_SEED = 1337
 
 
+def _worst(values, fold=np.max) -> float:
+    """``fold`` (np.max or np.min) of ``values``: NaN if any value is NaN.
+
+    The builtins keep a NaN only when it comes first, so a check reading
+    ``max`` would pass on a NaN it never saw.  Every comparison below is
+    written so that a NaN fails it.
+    """
+    return float(fold(list(values)))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     criterion: int
@@ -42,7 +52,7 @@ class CheckResult:
 
 def check_weak_value_table() -> tuple[bool, str]:
     table = hardy.weak_value_table(hardy.build())
-    dev = max(abs(table.entries[k] - EXPECTED_TABLE[k]) for k in EXPECTED_TABLE)
+    dev = _worst(abs(table.entries[k] - EXPECTED_TABLE[k]) for k in EXPECTED_TABLE)
     return dev <= 1e-12, f"max deviation from (1,1,0,0,0,1,1,-1): {dev:.2e}"
 
 
@@ -56,8 +66,8 @@ def check_abl_and_certainty() -> tuple[bool, str]:
     sc = hardy.build()
     report = hardy.ideal_measurement_facts(sc)
     dist = report.distributions["N_pair_NO_NO"].as_dict()
-    dev = max(abs(dist[0.0] - 0.8), abs(dist[1.0] - 0.2))
-    if dev > 1e-12:
+    dev = _worst([abs(dist[0.0] - 0.8), abs(dist[1.0] - 0.2)])
+    if not dev <= 1e-12:
         return False, f"N_pair_NO_NO odds off by {dev:.2e}"
     table = hardy.weak_value_table(sc).real_values()
     for name in hardy.OBSERVABLE_ORDER:
@@ -66,19 +76,19 @@ def check_abl_and_certainty() -> tuple[bool, str]:
         certain = report.certainties[name]
         if certain is None:
             return False, f"{name} not certain"
-        top = max(p for _, p in report.distributions[name].entries)
-        if abs(top - 1.0) > 1e-10:
+        top = _worst(p for _, p in report.distributions[name].entries)
+        if not abs(top - 1.0) <= 1e-10:
             return False, f"{name} certainty probability off: {top}"
-        if abs(certain - table[name]) > 1e-10:
+        if not abs(certain - table[name]) <= 1e-10:
             return False, f"{name}: certain value {certain} != weak value {table[name]}"
     return True, f"seven certainties, NO·NO odds within {dev:.2e} of 4/5 : 1/5"
 
 
 def check_identity_chain() -> tuple[bool, str]:
     report = hardy.identity_chain(hardy.build())
-    dev = max(abs(report.derived[k] - EXPECTED_TABLE[k]) for k in EXPECTED_TABLE)
-    dev = max(dev, abs(report.appendix_pair_value + 1.0))
-    worst_identity = max(report.identity_residuals.values())
+    dev = _worst([*(abs(report.derived[k] - EXPECTED_TABLE[k]) for k in EXPECTED_TABLE),
+                  abs(report.appendix_pair_value + 1.0)])
+    worst_identity = _worst(report.identity_residuals.values())
     ok = dev <= 1e-12 and worst_identity <= 1e-12
     return ok, f"derived-table deviation {dev:.2e}, identity residual {worst_identity:.2e}"
 
@@ -100,7 +110,7 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> Observable:
 
 def check_additivity(trials: int = 1000) -> tuple[bool, str]:
     rng = np.random.default_rng(ADDITIVITY_SEED)
-    worst = 0.0
+    errs = []
     for _ in range(trials):
         dim = int(rng.integers(2, 7))
         ens = _random_ensemble(rng, dim)
@@ -109,7 +119,8 @@ def check_additivity(trials: int = 1000) -> tuple[bool, str]:
         ab = Observable.from_matrix(a.matrix + b.matrix)
         lhs = prepost.weak_value(ab, ens).value
         rhs = prepost.weak_value(a, ens).value + prepost.weak_value(b, ens).value
-        worst = max(worst, abs(lhs - rhs))
+        errs.append(abs(lhs - rhs))
+    worst = _worst(errs)
     return worst < 1e-10, f"{trials} random triples, worst |(A+B)_w - A_w - B_w| = {worst:.2e}"
 
 
@@ -117,19 +128,20 @@ def check_weak_limit_convergence() -> tuple[bool, str]:
     sc = hardy.build()
     table = hardy.weak_value_table(sc).real_values()
     couplings = (0.1, 0.05, 0.01)
-    worst_final = 0.0
-    worst_ratio = 1.0
+    finals = []
+    ratios = [1.0]
     for name in hardy.OBSERVABLE_ORDER:
         errs = []
         for g in couplings:
             spec = pointer.CouplingSpec(sc.observable(name), g=g, delta=1.0)
             m = pointer.mixture(sc.ensemble, spec)
             errs.append(abs(pointer.position_mean(m) / g - table[name]))
-        worst_final = max(worst_final, errs[-1])
-        if max(errs) < 1e-12:
+        finals.append(errs[-1])
+        if _worst(errs) < 1e-12:
             continue  # rule-(a) observables: single-Gaussian mixture, exact shift
         consts = [e / g**2 for e, g in zip(errs, couplings)]
-        worst_ratio = max(worst_ratio, max(consts) / min(consts))
+        ratios.append(_worst(consts) / _worst(consts, np.min))
+    worst_final, worst_ratio = _worst(finals), _worst(ratios)
     ok = worst_final < 1e-3 and worst_ratio <= 2.0
     return ok, (f"error at g/delta=0.01: {worst_final:.2e}; "
                 f"quadratic-constant spread: {worst_ratio:.3f}")
@@ -141,7 +153,7 @@ def check_strong_limit() -> tuple[bool, str]:
     m = pointer.mixture(sc.ensemble, spec)
     mass0 = pointer.window_mass(m, -2.0, 2.0)
     mass1 = pointer.window_mass(m, 18.0, 22.0)
-    dev = max(abs(mass0 - 0.8), abs(mass1 - 0.2))
+    dev = _worst([abs(mass0 - 0.8), abs(mass1 - 0.2)])
     return dev <= 1e-3, f"window masses ({mass0:.6f}, {mass1:.6f}) vs (4/5, 1/5), dev {dev:.2e}"
 
 
@@ -211,8 +223,8 @@ def check_monte_carlo() -> tuple[bool, str]:
     sc = hardy.build()
     table = hardy.weak_value_table(sc).real_values()
     g, delta, trials = 0.05, 1.0, 100_000
-    worst_pulls = 0.0
-    worst_p = 1.0
+    pulls = []
+    pvalues = [1.0]
     for name in hardy.OBSERVABLE_ORDER:
         spec = pointer.CouplingSpec(sc.observable(name), g=g, delta=delta)
         m = pointer.mixture(sc.ensemble, spec)
@@ -221,10 +233,10 @@ def check_monte_carlo() -> tuple[bool, str]:
         if reading.readings.tobytes() != again.readings.tobytes():
             return False, f"{name}: same seed produced different readings"
         est = pointer.estimate(reading, g)
-        pulls = abs(est.estimate - table[name]) / est.stderr
-        worst_pulls = max(worst_pulls, pulls)
+        pulls.append(abs(est.estimate - table[name]) / est.stderr)
         cdfvals = pointer.position_cdf(m, np.sort(reading.readings))
-        worst_p = min(worst_p, _ks_pvalue(trials, _ks_statistic(cdfvals)))
+        pvalues.append(_ks_pvalue(trials, _ks_statistic(cdfvals)))
+    worst_pulls, worst_p = _worst(pulls), _worst(pvalues, np.min)
     ok = worst_pulls <= 3.0 and worst_p > 0.01
     return ok, f"worst |estimate - A_w|/stderr = {worst_pulls:.2f}; worst KS p-value = {worst_p:.3f}"
 
@@ -236,9 +248,9 @@ def check_simultaneous() -> tuple[bool, str]:
     specs = [pointer.CouplingSpec(sc.observable(n), g=g, delta=1.0)
              for n in hardy.OBSERVABLE_ORDER]
     means = pointer.simultaneous(sc.ensemble, specs)
-    dev = max(abs(mean / g - table[name])
-              for mean, name in zip(means, hardy.OBSERVABLE_ORDER))
-    if dev > 1e-2:
+    dev = _worst(abs(mean / g - table[name])
+                 for mean, name in zip(means, hardy.OBSERVABLE_ORDER))
+    if not dev <= 1e-2:
         return False, f"joint Hardy means off by {dev:.2e}"
 
     # two non-commuting qubit projectors against their separate weak values
@@ -249,9 +261,9 @@ def check_simultaneous() -> tuple[bool, str]:
     b = Observable.from_matrix(np.full((2, 2), 0.5, dtype=complex), name="plus")
     specs2 = [pointer.CouplingSpec(a, g=g, delta=1.0),
               pointer.CouplingSpec(b, g=g, delta=1.0)]
-    grid_means = pointer.simultaneous(ens, specs2)
-    rel = max(
-        abs(grid_means[k] / g - prepost.weak_value(o, ens).real)
+    pair_means = pointer.simultaneous(ens, specs2)
+    rel = _worst(
+        abs(pair_means[k] / g - prepost.weak_value(o, ens).real)
         / abs(prepost.weak_value(o, ens).real)
         for k, o in enumerate((a, b)))
     ok = rel <= 0.01
@@ -267,16 +279,15 @@ def check_collective() -> tuple[bool, str]:
         spec = collective.CollectiveSpec(sc.ensemble, obs, n_pairs=n,
                                          g=g, delta=5.0 * g * sqrt(n))
         st = collective.collective_pointer_stats(spec)
-        if abs(st.mean / g + n) > sqrt(n):
+        if not abs(st.mean / g + n) <= sqrt(n):
             return False, f"N={n}: mean/g = {st.mean / g:.2f} outside -N +- sqrt(N)"
-        if st.mode >= 0.0:
+        if not st.mode < 0.0:
             return False, f"N={n}: density mode {st.mode:.3f} not negative"
         details.append(f"N={n}: mean/g={st.mean / g:.2f}, mode={st.mode:.2f}")
 
-    # brute-force tensor cross-check at N = 2, 3
+    # brute-force tensor cross-check at N = 2, 3 against the binomial coefficients
+    alpha0, alpha1 = prepost.branch_amplitudes(obs, sc.ensemble)
     for n in (2, 3):
-        spec = collective.CollectiveSpec(sc.ensemble, obs, n_pairs=n, g=0.05, delta=1.0)
-        cm = collective.collective_mixture(spec)
         pre = sc.preselected.amplitudes
         post = sc.postselected.amplitudes
         big_pre, big_post = pre, post
@@ -294,8 +305,9 @@ def check_collective() -> tuple[bool, str]:
         ens_n = prepost.PrePostEnsemble(StateVector(big_pre), StateVector(big_post))
         brute = pointer.mixture(
             ens_n, pointer.CouplingSpec(Observable.from_matrix(total), g=0.05, delta=1.0))
-        dev = max(abs(brute.coefficients[k] - cm.coefficient(k)) for k in range(n + 1))
-        if dev > 1e-10:
+        dev = _worst(abs(brute.coefficients[k] - comb(n, k) * alpha1**k * alpha0**(n - k))
+                     for k in range(n + 1))
+        if not dev <= 1e-10:
             return False, f"N={n}: brute-force coefficients deviate by {dev:.2e}"
     return True, "; ".join(details) + "; tensor cross-check at N=2,3 within 1e-10"
 

@@ -21,7 +21,6 @@ from weakmeas.collective import (
     MODE_TOL_FACTOR,
     CollectiveSpec,
     CollectiveStats,
-    collective_mixture,
 )
 from weakmeas.pointer import SAMPLE_GRID_PADDING
 
@@ -165,7 +164,8 @@ def density_grid(spec: CollectiveSpec,
     """
     if spec.n_pairs < 1:
         raise ValueError("density_grid requires n_pairs >= 1")
-    shifts = collective_mixture(spec).shifts
+    a0, a1 = (float(e) for e in spec.observable.eigenvalues)
+    shifts = spec.g * (spec.n_pairs * a0 + (a1 - a0) * np.arange(spec.n_pairs + 1))
     span = float(np.max(np.abs(shifts))) + SAMPLE_GRID_PADDING * spec.delta
     grid = np.linspace(-span, span, points)
     with mp.workdps(_required_dps(spec)):

@@ -136,7 +136,8 @@ def test_criterion_10_collective(scenario):
     stats = collective.collective_pointer_stats(spec)
     assert abs(stats.mean + n) <= sqrt(n)
     assert stats.mode < 0.0
-    assert np.all(collective.collective_mixture(spec).shifts >= 0.0)
+    a0, a1 = spec.observable.eigenvalues
+    assert np.all(spec.g * (n * a0 + (a1 - a0) * np.arange(n + 1)) >= 0.0)
     assert result.passed, result.detail
 
 

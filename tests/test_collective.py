@@ -3,9 +3,10 @@
 The N = 2, 3 cases are cross-checked against the literal tensor-power
 construction (dim 16 / 64) built from the core modules; larger N is checked
 against the arbitrary-precision position-space oracle in ``mpmath_oracle``.
+Small N is also checked against the explicit N+1 term binomial mixture.
 """
 
-from math import sqrt
+from math import comb, sqrt
 
 import mpmath_oracle
 import numpy as np
@@ -18,7 +19,6 @@ from weakmeas import collective, pointer
 from weakmeas.collective import (
     MODE_TOL_FACTOR,
     CollectiveSpec,
-    collective_mixture,
     collective_pointer_stats,
     collective_weak_value,
     density_grid,
@@ -39,6 +39,21 @@ def normalized(*amps):
 def make_spec(scenario, name="N_pair_NO_NO", n=1, g=0.05, delta=1.0):
     return CollectiveSpec(scenario.ensemble, scenario.observable(name),
                           n_pairs=n, g=g, delta=delta)
+
+
+def binomial_mixture(spec: CollectiveSpec) -> pointer.PointerMixture:
+    """The N+1 term collective pointer mixture, written out.
+
+    c_k = C(N, k) alpha_1^k alpha_0^(N-k) and shift_k = g (N a0 + k (a1 - a0));
+    valid while the coefficients fit in doubles.
+    """
+    alpha0, alpha1 = spec.alphas
+    a0, a1 = spec.observable.eigenvalues
+    n = spec.n_pairs
+    k = np.arange(n + 1)
+    coeffs = [comb(n, j) * alpha1**j * alpha0**(n - j) for j in range(n + 1)]
+    return pointer.PointerMixture(np.array(coeffs), spec.g * (n * a0 + (a1 - a0) * k),
+                                  spec.delta)
 
 
 def tensor_power_mixture(scenario, name, n, g, delta):
@@ -81,37 +96,39 @@ class TestSpec:
 class TestMixture:
     def test_single_pair_matches_pointer_module(self, scenario):
         spec = make_spec(scenario, n=1)
-        cm = collective_mixture(spec)
+        cm = binomial_mixture(spec)
         direct = pointer.mixture(
             scenario.ensemble,
             pointer.CouplingSpec(spec.observable, g=spec.g, delta=spec.delta))
-        np.testing.assert_allclose(cm.coefficients(), direct.coefficients, atol=1e-15)
+        np.testing.assert_allclose(cm.coefficients, direct.coefficients, atol=1e-15)
         np.testing.assert_allclose(cm.shifts, direct.shifts, atol=1e-15)
 
     def test_two_pairs_binomial_weights(self, scenario):
         spec = make_spec(scenario, n=2)
         a0, a1 = spec.alphas
-        cm = collective_mixture(spec)
+        cm = binomial_mixture(spec)
         np.testing.assert_allclose(
-            cm.coefficients(), [a0**2, 2 * a0 * a1, a1**2], atol=1e-15)
+            cm.coefficients, [a0**2, 2 * a0 * a1, a1**2], atol=1e-15)
 
     def test_coefficients_sum_to_overlap_power(self, scenario):
         for n in (1, 2, 5, 9):
             spec = make_spec(scenario, n=n)
-            total = collective_mixture(spec).coefficients().sum()
+            total = binomial_mixture(spec).coefficients.sum()
             assert total == pytest.approx(scenario.ensemble.overlap**n, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_tensor_power_construction(self, scenario, n):
-        cm = collective_mixture(make_spec(scenario, n=n))
+        cm = binomial_mixture(make_spec(scenario, n=n))
         brute = tensor_power_mixture(scenario, "N_pair_NO_NO", n, g=0.05, delta=1.0)
         np.testing.assert_allclose(brute.shifts, cm.shifts, atol=1e-12)
         for k in range(n + 1):
-            assert brute.coefficients[k] == pytest.approx(cm.coefficient(k), abs=1e-10)
+            assert brute.coefficients[k] == pytest.approx(cm.coefficients[k], abs=1e-10)
 
     def test_zero_pairs_rejected(self, scenario):
-        with pytest.raises(ValueError):
-            collective_mixture(make_spec(scenario, n=0))
+        with pytest.raises(ValueError, match="n_pairs >= 1"):
+            collective_pointer_stats(make_spec(scenario, n=0))
+        with pytest.raises(ValueError, match="n_pairs >= 1"):
+            density_grid(make_spec(scenario, n=0))
 
 
 class TestWeakValue:
@@ -164,7 +181,7 @@ class TestPointerStats:
         spec = make_spec(scenario, n=1, g=20.0, delta=1.0)
         stats = collective_pointer_stats(spec)
         assert stats.warnings  # strong coupling flagged, computation still runs
-        pm = collective_mixture(spec).to_pointer_mixture()
+        pm = binomial_mixture(spec)
         assert pointer.window_mass(pm, -2.0, 2.0) == pytest.approx(0.8, abs=1e-3)
         assert pointer.window_mass(pm, 18.0, 22.0) == pytest.approx(0.2, abs=1e-3)
         # taller branch dominates: global mode at the a=0 shift
@@ -174,7 +191,7 @@ class TestPointerStats:
         n = 100
         spec = make_spec(scenario, n=n, g=1.0, delta=5.0 * sqrt(n))
         stats = collective_pointer_stats(spec)
-        assert np.all(collective_mixture(spec).shifts >= 0.0)
+        assert np.all(binomial_mixture(spec).shifts >= 0.0)
         assert stats.mode < 0.0
         assert stats.mean / 1.0 == pytest.approx(-n, abs=sqrt(n))
 
@@ -189,7 +206,7 @@ class TestPointerStats:
         # below the cancellation wall both routes are valid: they must agree
         spec = make_spec(scenario, n=3, g=0.05, delta=1.0)
         stats = collective_pointer_stats(spec)
-        pm = collective_mixture(spec).to_pointer_mixture()
+        pm = binomial_mixture(spec)
         assert stats.mean == pytest.approx(pointer.position_mean(pm), abs=1e-10)
         assert stats.spread == pytest.approx(
             sqrt(pointer.position_variance(pm)), abs=1e-10)
@@ -200,7 +217,7 @@ class TestPointerStats:
         spec = CollectiveSpec(ens, Observable.diagonal([2.0, 5.0]),
                               n_pairs=4, g=0.07, delta=1.3)
         stats = collective_pointer_stats(spec)
-        pm = collective_mixture(spec).to_pointer_mixture()
+        pm = binomial_mixture(spec)
         assert stats.mean == pytest.approx(pointer.position_mean(pm), abs=1e-10)
         assert stats.spread == pytest.approx(
             sqrt(pointer.position_variance(pm)), abs=1e-10)

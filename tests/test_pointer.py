@@ -2,9 +2,12 @@
 
 Closed-form results are cross-checked against independent numerical oracles:
 brute-force quadrature for position moments, an FFT momentum-space grid for
-the momentum mean, and a Kolmogorov-Smirnov test for the sampler.
+the momentum mean, a Kolmogorov-Smirnov test for the sampler, and for joint
+couplings a two-pointer FFT grid evolution and the joint-eigenspace closed
+form of commuting families.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -19,6 +22,7 @@ from weakmeas.errors import (
     UnsupportedConfigurationError,
 )
 from weakmeas.pointer import (
+    MAX_JOINT_TERMS,
     MAX_TRIALS,
     MOMENTUM_SHIFT_FACTOR,
     CouplingSpec,
@@ -37,7 +41,7 @@ from weakmeas.pointer import (
 )
 from weakmeas.pointer import _SAMPLE_CHUNK, _inverse_cdf, _sampling_grid
 from weakmeas.prepost import PrePostEnsemble, weak_value
-from weakmeas.qcore import Observable, StateVector
+from weakmeas.qcore import EIG_GROUP_TOL, Observable, StateVector
 
 SQRT3 = np.sqrt(3.0)
 
@@ -87,6 +91,121 @@ def interp_oracle(m: PointerMixture, trials: int, seed: int):
             min(_SAMPLE_CHUNK, trials - k * _SAMPLE_CHUNK))
         for k in range(-(-trials // _SAMPLE_CHUNK))])
     return grid, cdf, np.interp(u, cdf, grid)
+
+
+def grid_oracle(ens: PrePostEnsemble, specs: list[CouplingSpec],
+                points: int = 256) -> list[float]:
+    """Brute-force two-pointer evolution on discretized grids.
+
+    Applies exp(-i*g1*P1*A) * exp(-i*g2*P2*B) to system x pointer x pointer,
+    post-selects, and reads the marginal means off the joint density.  Grids
+    are periodic FFT grids padded far into the Gaussian tails.
+    """
+    spec1, spec2 = specs
+    grids, freqs, gaussians = [], [], []
+    for spec in (spec1, spec2):
+        span = spec.g * max(abs(a) for a in spec.observable.eigenvalues) + 8.0 * spec.delta
+        q = np.linspace(-span, span, points, endpoint=False)
+        grids.append(q)
+        freqs.append(2.0 * np.pi * np.fft.fftfreq(points, d=q[1] - q[0]))
+        gaussians.append(np.exp(-(q**2) / spec.delta**2))
+    state = (ens.pre.amplitudes[:, None, None]
+             * gaussians[0][None, :, None] * gaussians[1][None, None, :])
+    # rightmost factor acts first
+    for axis, spec in ((2, spec2), (1, spec1)):
+        ft = np.fft.fft(state, axis=axis)
+        shaped = freqs[axis - 1][:, None] if axis == 1 else freqs[axis - 1][None, :]
+        evolved = np.zeros_like(ft)
+        for a, proj in zip(spec.observable.eigenvalues, spec.observable.projectors):
+            comp = np.tensordot(proj, ft, axes=([1], [0]))
+            evolved += comp * np.exp(-1j * spec.g * a * shaped)[None, :, :]
+        state = np.fft.ifft(evolved, axis=axis)
+    joint = np.tensordot(ens.post.amplitudes.conj(), state, axes=([0], [0]))
+    density = np.abs(joint) ** 2
+    means = []
+    for axis, q in enumerate(grids):
+        marginal = density.sum(axis=1 - axis)
+        means.append(float((q * marginal).sum() / marginal.sum()))
+    return means
+
+
+def joint_blocks(observables: list[Observable], tol: float = EIG_GROUP_TOL):
+    """Common eigenspaces of a commuting family.
+
+    Refines the full space by eigendecomposing each observable restricted to
+    the current blocks; eigenvalues within ``tol`` share a block.  Returns a
+    list of (basis columns, eigenvalue tuple).
+    """
+    dim = observables[0].dim
+    blocks: list[tuple[np.ndarray, tuple[float, ...]]] = [
+        (np.eye(dim, dtype=complex), ())]
+    for a in observables:
+        refined = []
+        for basis, eigs in blocks:
+            sub = basis.conj().T @ a.matrix @ basis
+            evals, vecs = np.linalg.eigh(sub)
+            k = 0
+            while k < evals.size:
+                j = k
+                while j + 1 < evals.size and evals[j + 1] - evals[k] <= tol:
+                    j += 1
+                cols = basis @ vecs[:, k:j + 1]
+                refined.append((cols, eigs + (float(np.mean(evals[k:j + 1])),)))
+                k = j + 1
+        blocks = refined
+    return blocks
+
+
+def joint_block_oracle(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]:
+    """Marginal means of a commuting family from its joint eigenspaces."""
+    blocks = joint_blocks([s.observable for s in specs])
+    gammas = []
+    eig_table = []
+    for basis, eigs in blocks:
+        gamma = (ens.post.amplitudes.conj() @ basis) @ (basis.conj().T @ ens.pre.amplitudes)
+        gammas.append(gamma)
+        eig_table.append(eigs)
+    gammas = np.array(gammas)
+    shifts = np.array([[spec.g * eigs[m] for eigs in eig_table]
+                       for m, spec in enumerate(specs)])  # (n_pointers, n_blocks)
+    kprod = np.ones((gammas.size, gammas.size))
+    for m, spec in enumerate(specs):
+        diff = np.subtract.outer(shifts[m], shifts[m])
+        kprod *= np.exp(-(diff**2) / (2.0 * spec.delta**2))
+    weights = np.real(np.outer(gammas.conj(), gammas)) * kprod
+    total = weights.sum()
+    means = []
+    for m in range(len(specs)):
+        mid = np.add.outer(shifts[m], shifts[m]) / 2.0
+        means.append(float((weights * mid).sum() / total))
+    return means
+
+
+def random_qubit_pair(rng: np.random.Generator):
+    """A random qubit ensemble and two random couplings, non-commuting almost surely."""
+    def state():
+        amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        return StateVector(amps / np.linalg.norm(amps))
+
+    while True:
+        pre, post = state(), state()
+        if abs(np.vdot(post.amplitudes, pre.amplitudes)) > 0.1:
+            break
+    specs = []
+    for _ in range(2):
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        specs.append(CouplingSpec(Observable.from_matrix((h + h.conj().T) / 2.0),
+                                  g=float(rng.uniform(0.01, 1.0)),
+                                  delta=float(rng.uniform(0.5, 2.0))))
+    return PrePostEnsemble(pre, post), specs
+
+
+def pauli(name: str) -> Observable:
+    return Observable.from_matrix({
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "z": np.diag([1.0, -1.0]).astype(complex),
+    }[name])
 
 
 class TestMixture:
@@ -289,18 +408,18 @@ class TestSampling:
             sample(pair_no_no_weak, MAX_TRIALS + 1, seed=1)
 
     def test_unresolved_cdf_raises(self):
-        # delta^2 underflows to 0, so the density and its CDF total are NaN
-        m = PointerMixture([0.5, -0.3], [0.0, 1.0], 1e-300)
+        # delta^2 underflows to 0, so the density and its CDF total are NaN;
+        # the overlap weights, built with the mixture, already divide by 0
         with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="CDF total"):
-            sample(m, 10, seed=1)
+            sample(PointerMixture([0.5, -0.3], [0.0, 1.0], 1e-300), 10, seed=1)
 
     @pytest.mark.parametrize("g", [3000.0, 1e300])
     def test_grid_too_coarse_for_the_pointer_raises(self, scenario, g):
         # the CDF total misses 1 by 0.15 at g = 3000 and overflows at g = 1e300
-        m = mixture(scenario.ensemble, CouplingSpec(scenario.observable("N_pair_NO_NO"),
-                                                    g=g, delta=1.0))
+        # (already in the overlap weights, built with the mixture)
+        spec = CouplingSpec(scenario.observable("N_pair_NO_NO"), g=g, delta=1.0)
         with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="CDF total"):
-            sample(m, 10, seed=1)
+            sample(mixture(scenario.ensemble, spec), 10, seed=1)
 
     def test_readings_held_once(self, pair_no_no_weak):
         sample(pair_no_no_weak, 1000, seed=1)
@@ -401,13 +520,65 @@ class TestSimultaneous:
         assert means[0] / 0.01 == pytest.approx(1.0, abs=1e-2)
         assert means[1] / 0.02 == pytest.approx(1.0, abs=1e-2)
 
-    def test_three_noncommuting_rejected(self):
+    def test_two_noncommuting_match_grid_oracle(self):
+        # criterion 9's qubit pair
+        ens = PrePostEnsemble(qubit_state(np.cos(0.3), np.sin(0.3)),
+                              qubit_state(np.cos(1.1), np.sin(1.1)))
+        specs = [CouplingSpec(Observable.from_matrix(np.diag([0.0, 1.0]).astype(complex)),
+                              g=0.01, delta=1.0),
+                 CouplingSpec(Observable.from_matrix(np.full((2, 2), 0.5, dtype=complex)),
+                              g=0.01, delta=1.0)]
+        np.testing.assert_allclose(simultaneous(ens, specs), grid_oracle(ens, specs),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_random_qubit_pairs_match_grid_oracle(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(20):
+            ens, specs = random_qubit_pair(rng)
+            np.testing.assert_allclose(simultaneous(ens, specs), grid_oracle(ens, specs),
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("g,delta", [(0.01, 1.0), (0.05, 1.0), (1.0, 1.0), (3.0, 0.5)])
+    @pytest.mark.parametrize("post", ["D_plus_D_minus", "C_plus_C_minus",
+                                      "C_plus_D_minus", "D_plus_C_minus"])
+    def test_hardy_family_bit_identical_to_joint_blocks(self, scenario, post, g, delta):
+        ens = PrePostEnsemble(scenario.preselected,
+                              hardy.postselection_variants(scenario)[post])
+        specs = [CouplingSpec(scenario.observable(n), g=g, delta=delta)
+                 for n in hardy.OBSERVABLE_ORDER]
+        assert simultaneous(ens, specs) == joint_block_oracle(ens, specs)
+
+    def test_three_noncommuting_match_projector_product_sum(self):
         ens = PrePostEnsemble(qubit_state(1, 1), qubit_state(1, 0.2))
-        x = Observable.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
-        y = Observable.from_matrix(np.array([[0, -1j], [1j, 0]], dtype=complex))
-        z = Observable.from_matrix(np.diag([1.0, -1.0]).astype(complex))
-        specs = [CouplingSpec(o, g=0.01, delta=1.0) for o in (x, y, z)]
-        with pytest.raises(UnsupportedConfigurationError):
+        specs = [CouplingSpec(pauli("x"), g=0.3, delta=1.0),
+                 CouplingSpec(pauli("y"), g=0.5, delta=0.8),
+                 CouplingSpec(pauli("z"), g=0.7, delta=1.2)]
+        # one term per eigenvalue choice t: <post|P^X_t1 P^Y_t2 P^Z_t3|pre>
+        # times a Gaussian in each pointer centred at g_m a_{m,t_m}
+        terms = []
+        for t in itertools.product(*(range(len(s.observable.eigenvalues)) for s in specs)):
+            c = np.linalg.multi_dot([ens.post.amplitudes.conj(),
+                                     *(s.observable.projectors[k] for s, k in zip(specs, t)),
+                                     ens.pre.amplitudes])
+            terms.append((c, np.array([s.g * s.observable.eigenvalues[k]
+                                       for s, k in zip(specs, t)])))
+        num, den = np.zeros(len(specs)), 0.0
+        for (ci, si), (cj, sj) in itertools.product(terms, repeat=2):
+            overlap = np.prod([np.exp(-(a - b) ** 2 / (2.0 * s.delta**2))
+                               for a, b, s in zip(si, sj, specs)])
+            w = (np.conj(ci) * cj).real * overlap
+            num += w * (si + sj) / 2.0
+            den += w
+        np.testing.assert_allclose(simultaneous(ens, specs), num / den, rtol=1e-12, atol=1e-15)
+
+    def test_term_cap(self):
+        # X and Y eigenbases are unbiased: every product of their projectors
+        # survives, so n alternating couplings keep 2^n branches
+        ens = PrePostEnsemble(qubit_state(1, 1), qubit_state(1, 0.2))
+        specs = [CouplingSpec(pauli("xy"[k % 2]), g=0.01, delta=1.0) for k in range(11)]
+        assert 2**10 == MAX_JOINT_TERMS
+        assert len(simultaneous(ens, specs[:10])) == 10
+        with pytest.raises(UnsupportedConfigurationError, match="MAX_JOINT_TERMS"):
             simultaneous(ens, specs)
 
     def test_empty_specs_rejected(self, scenario):

@@ -1,10 +1,12 @@
-"""The numpy Kolmogorov-Smirnov test of criterion 8 against scipy.stats.
+"""``verify`` internals: its numpy KS test and its worst-case folds.
 
 ``verify`` computes the KS statistic and its p-value itself so that it never
 imports ``scipy.stats``; ``scipy.stats.kstest`` and ``kstwo`` stay here as the
-oracle.
+oracle.  A NaN anywhere in a check's worst-case fold must fail the check.
 """
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import pytest
 from scipy import stats
 
 import weakmeas
-from weakmeas import hardy, pointer, verify
+from weakmeas import collective, hardy, pointer, prepost, verify
 
 N = 100_000  # criterion 8's sample size
 
@@ -65,3 +67,38 @@ def test_verify_never_imports_scipy_stats():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("criterion, module, name, calls, poison", [
+    # the second random triple's (A+B)_w
+    (5, prepost, "weak_value", {4}, lambda out: prepost.WeakValue(complex(NAN, 0.0))),
+    # every coupling of the second observable
+    (6, pointer, "position_mean", {4, 5, 6}, lambda out: NAN),
+    # the second window mass
+    (7, pointer, "window_mass", {2}, lambda out: NAN),
+    # the second observable's estimate, then its KS p-value
+    (8, pointer, "estimate", {2}, lambda out: pointer.WeakEstimate(NAN, out.stderr, out.trials)),
+    (8, verify, "_ks_pvalue", {2}, lambda out: NAN),
+    # the second Hardy pointer of the joint measurement
+    (9, pointer, "simultaneous", {1}, lambda out: [out[0], NAN, *out[2:]]),
+    # the N = 100 collective mean
+    (10, collective, "collective_pointer_stats", {2},
+     lambda out: collective.CollectiveStats(NAN, out.mode, out.spread, out.warnings)),
+], ids=["c5-weak_value", "c6-position_mean", "c7-window_mass", "c8-estimate",
+        "c8-ks_pvalue", "c9-simultaneous", "c10-collective_mean"])
+def test_nan_in_second_item_fails_the_check(monkeypatch, criterion, module, name, calls,
+                                            poison):
+    real = getattr(module, name)
+    count = itertools.count(1)
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return poison(out) if next(count) in calls else out
+
+    monkeypatch.setattr(module, name, patched)
+    result = verify.run_check(criterion)
+    assert not result.passed, result.detail
+    assert "nan" in result.detail
