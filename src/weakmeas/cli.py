@@ -6,9 +6,10 @@ given command line: the ``timing_ms`` field stays ``null`` (and ``verify``
 criteria carry no ``elapsed_ms``) unless ``--timing`` is passed, and all
 Monte Carlo commands require an explicit seed.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 computation error.  Errors print a single machine-parsable line
-``error: <kind>: <reason>`` on stderr.
+Exit codes: 0 success, 1 verification failure, 2 configuration error (any
+``ValueError``: the library judges each parameter's range), 3 computation
+error (a ``WeakMeasError`` or float overflow).  Errors print a single
+machine-parsable line ``error: <kind>: <reason>`` on stderr.
 
 Parameters may also come from a flat key-value config file (``--config``):
 UTF-8 text, one ``key = value`` per line, ``#`` comments and blank lines
@@ -44,41 +45,22 @@ POSTSELECT_CHOICES = {
     "oo": "O_O",
 }
 
-_DEFAULTS = {
-    "g": 0.05,
-    "delta": 1.0,
-    "trials": 100_000,
-    "n_pairs": 100,
-    "c": 5.0,
-    "observable": None,
-    "postselect": "dd",
-    "format": "json",
-    "output_path": None,
-    "seed": None,
-    "pdf_points": None,
-    "interaction": True,
-    "timing": False,
+# every option: (type, built-in default)
+_OPTIONS = {
+    "g": (float, 0.05),
+    "delta": (float, 1.0),
+    "c": (float, 5.0),
+    "trials": (int, 100_000),
+    "seed": (int, None),
+    "n_pairs": (int, 100),
+    "pdf_points": (int, None),
+    "observable": (str, None),
+    "postselect": (str, "dd"),
+    "format": (str, "json"),
+    "output_path": (str, None),
+    "interaction": (bool, True),
+    "timing": (bool, False),
 }
-
-_OPTION_TYPES = {
-    "g": float,
-    "delta": float,
-    "c": float,
-    "trials": int,
-    "seed": int,
-    "n_pairs": int,
-    "pdf_points": int,
-    "observable": str,
-    "postselect": str,
-    "format": str,
-    "output_path": str,
-    "interaction": bool,
-    "timing": bool,
-}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,20 +80,20 @@ def _parse_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _OPTION_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        typ = _OPTION_TYPES[key]
+        if key not in _OPTIONS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        typ = _OPTIONS[key][0]
         try:
             if typ is bool:
                 lowered = value.lower()
@@ -124,8 +106,8 @@ def _parse_config_file(path: str) -> dict:
             else:
                 values[key] = typ(value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad {typ.__name__} value {value!r} "
-                              f"for {key}") from exc
+            raise ValueError(f"{path}:{lineno}: bad {typ.__name__} value {value!r} "
+                             f"for {key}") from exc
     return values
 
 
@@ -134,13 +116,13 @@ def _merge_params(args: argparse.Namespace) -> tuple[dict, set[str]]:
 
     Also reports which keys were explicitly provided (by either source).
     """
-    params = dict(_DEFAULTS)
+    params = {key: default for key, (_, default) in _OPTIONS.items()}
     provided: set[str] = set()
     if getattr(args, "config", None):
         from_file = _parse_config_file(args.config)
         params.update(from_file)
         provided |= set(from_file)
-    for key in _OPTION_TYPES:
+    for key in _OPTIONS:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -148,20 +130,12 @@ def _merge_params(args: argparse.Namespace) -> tuple[dict, set[str]]:
     return params, provided
 
 
-def _require_positive(params: dict, *names: str) -> None:
-    for name in names:
-        value = params[name]
-        if value is None or value <= 0 or not math.isfinite(float(value)):
-            raise ConfigError(f"{name} must be positive, got {value!r}")
-
-
-def _resolve_observables(params: dict, scenario,
-                         default: str | None = None) -> list[str]:
+def _resolve_observables(params: dict, default: str | None = None) -> list[str]:
     name = params["observable"] or default
     if name is None or name == "all":
         return list(hardy.OBSERVABLE_ORDER)
     if name not in hardy.OBSERVABLE_ORDER:
-        raise ConfigError(
+        raise ValueError(
             f"unknown observable {name!r}; valid names: "
             f"{', '.join(hardy.OBSERVABLE_ORDER)} (or 'all')")
     return [name]
@@ -170,8 +144,8 @@ def _resolve_observables(params: dict, scenario,
 def _resolve_ensemble(params: dict, scenario) -> PrePostEnsemble:
     key = params["postselect"]
     if key not in POSTSELECT_CHOICES:
-        raise ConfigError(f"unknown postselect {key!r}; choose from "
-                          f"{', '.join(sorted(POSTSELECT_CHOICES))}")
+        raise ValueError(f"unknown postselect {key!r}; choose from "
+                         f"{', '.join(sorted(POSTSELECT_CHOICES))}")
     post = hardy.postselection_variants(scenario)[POSTSELECT_CHOICES[key]]
     return PrePostEnsemble(scenario.preselected, post)
 
@@ -209,7 +183,7 @@ def _cmd_detector_stats(params: dict, provided: set[str]):
 def _cmd_abl(params: dict, provided: set[str]):
     scenario = hardy.build()
     ensemble = _resolve_ensemble(params, scenario)
-    names = _resolve_observables(params, scenario)
+    names = _resolve_observables(params)
     results = {}
     rows = [("observable", "eigenvalue", "probability")]
     for name in names:
@@ -226,19 +200,13 @@ def _cmd_abl(params: dict, provided: set[str]):
 
 
 def _cmd_weak_measure(params: dict, provided: set[str]):
-    _require_positive(params, "g", "delta", "trials")
-    if params["trials"] > pointer.MAX_TRIALS:
-        raise ConfigError(f"trials must be at most {pointer.MAX_TRIALS}, "
-                          f"got {params['trials']}")
     if params["seed"] is None:
-        raise ConfigError("seed is required (no silent entropy); pass --seed")
-    if params["seed"] < 0:
-        raise ConfigError("seed must be non-negative")
+        raise ValueError("seed is required (no silent entropy); pass --seed")
     scenario = hardy.build()
     ensemble = _resolve_ensemble(params, scenario)
-    names = _resolve_observables(params, scenario)
+    names = _resolve_observables(params)
     if params["pdf_points"] and len(names) != 1:
-        raise ConfigError("--pdf-points needs a single --observable")
+        raise ValueError("--pdf-points needs a single --observable")
     warnings = []
     results = {}
     rows = [("observable", "estimate", "stderr", "trials", "weak_value_re", "weak_value_im")]
@@ -261,7 +229,7 @@ def _cmd_weak_measure(params: dict, provided: set[str]):
             "weak_value": _cx(wv),
         }
         rows.append((name, est.estimate, est.stderr, est.trials, wv.real, wv.imag))
-        if params["pdf_points"] and len(names) == 1:
+        if params["pdf_points"]:
             grid = np.linspace(*_pdf_span(m), params["pdf_points"])
             pdf = pointer.position_pdf(m, grid)
             pdf_rows = [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
@@ -277,7 +245,6 @@ def _pdf_span(m: pointer.PointerMixture) -> tuple[float, float]:
 
 
 def _cmd_simultaneous(params: dict, provided: set[str]):
-    _require_positive(params, "g", "delta")
     scenario = hardy.build()
     ensemble = _resolve_ensemble(params, scenario)
     specs = [pointer.CouplingSpec(scenario.observable(name),
@@ -297,21 +264,16 @@ def _cmd_simultaneous(params: dict, provided: set[str]):
 
 
 def _cmd_collective(params: dict, provided: set[str]):
-    _require_positive(params, "g", "c")
+    pointer.check_finite_positive(c=params["c"])
     if params["n_pairs"] < 1:
-        raise ConfigError(f"n_pairs must be >= 1, got {params['n_pairs']}")
+        raise ValueError(f"n_pairs must be >= 1, got {params['n_pairs']}")
     scenario = hardy.build()
     ensemble = _resolve_ensemble(params, scenario)
-    names = _resolve_observables(params, scenario, default="N_pair_NO_NO")
+    names = _resolve_observables(params, default="N_pair_NO_NO")
     if len(names) != 1:
-        raise ConfigError("collective needs a single observable")
+        raise ValueError("collective needs a single observable")
     n = params["n_pairs"]
-    if "delta" in provided:
-        delta = params["delta"]
-        if delta <= 0 or not math.isfinite(delta):
-            raise ConfigError(f"delta must be positive, got {delta!r}")
-    else:
-        delta = params["c"] * params["g"] * math.sqrt(n)
+    delta = params["delta"] if "delta" in provided else params["c"] * params["g"] * math.sqrt(n)
     spec = collective.CollectiveSpec(ensemble, scenario.observable(names[0]),
                                      n_pairs=n, g=params["g"], delta=delta)
     stats = collective.collective_pointer_stats(spec)
@@ -455,20 +417,20 @@ def run(argv: list[str] | None = None) -> int:
     try:
         params, provided = _merge_params(args)
         if params["format"] not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {params['format']!r}")
+            raise ValueError(f"format must be json or csv, got {params['format']!r}")
         if params["pdf_points"] is not None and params["pdf_points"] < 2:
-            raise ConfigError("pdf_points must be at least 2")
+            raise ValueError("pdf_points must be at least 2")
         start = time.perf_counter()
         # numpy's overflow warnings are redundant: rendering rejects non-finite results
         with np.errstate(all="ignore"):
             results, inputs, warnings, rows = _HANDLERS[args.command](params, provided)
         elapsed_ms = (time.perf_counter() - start) * 1e3
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
     except WeakMeasError as exc:
         print(f"error: computation: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # an argument outside its domain
+        print(f"error: config: {exc}", file=sys.stderr)
+        return 2
     except ArithmeticError as exc:  # Python floats raise where numpy would return inf
         print(f"error: computation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

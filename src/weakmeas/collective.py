@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .pointer import SAMPLE_GRID_PADDING
+from .pointer import SAMPLE_GRID_PADDING, check_finite_positive
 from .prepost import PrePostEnsemble, branch_amplitudes, weak_value
 from .qcore import Observable
 
@@ -62,9 +62,7 @@ class CollectiveSpec:
             raise ValueError("collective coupling requires exactly two distinct eigenvalues")
         if self.n_pairs < 0 or int(self.n_pairs) != self.n_pairs:
             raise ValueError("n_pairs must be a non-negative integer")
-        for nm, v in (("g", self.g), ("delta", self.delta)):
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{nm} must be finite and positive, got {v}")
+        check_finite_positive(g=self.g, delta=self.delta)
         if self.observable.dim != self.ensemble.dim:
             raise ValueError("observable and ensemble dimensions differ")
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The rule: a plain ``ValueError`` means an argument outside its domain (the
+CLI maps it to exit 2), and a ``WeakMeasError`` means a computation that
+failed on valid arguments (exit 3), even where it is also a ``ValueError``.
+The range of each parameter is judged once, by the library constructor
+(or function) that takes it.
+"""
 
 
 class WeakMeasError(Exception):

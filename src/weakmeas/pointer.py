@@ -54,6 +54,13 @@ SAMPLE_CDF_TOL = 1e-6  # |trapezoid CDF total - 1| beyond this: the grid misses 
 MAX_JOINT_TERMS = 2**10  # branches of a simultaneous coupling, checked before each expansion
 
 
+def check_finite_positive(**values: float) -> None:
+    """Raise ValueError unless every named value is finite and positive."""
+    for name, v in values.items():
+        if not 0.0 < v < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """One pointer: the observable, integrated coupling g, initial width delta."""
@@ -63,9 +70,7 @@ class CouplingSpec:
     delta: float
 
     def __post_init__(self):
-        for nm, v in (("g", self.g), ("delta", self.delta)):
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{nm} must be finite and positive, got {v}")
+        check_finite_positive(g=self.g, delta=self.delta)
 
     @property
     def spectral_span(self) -> float:
@@ -107,8 +112,7 @@ class PointerMixture:
         shifts = np.array(self.shifts, dtype=float).reshape(-1)
         if coeffs.size != shifts.size or coeffs.size == 0:
             raise ValueError("need matching, non-empty coefficient and shift arrays")
-        if self.delta <= 0.0 or not np.isfinite(self.delta):
-            raise ValueError("delta must be finite and positive")
+        check_finite_positive(delta=self.delta)
         if not np.any(np.abs(coeffs) > 0.0):
             raise AllBranchesVanishError("every mixture coefficient vanishes")
         coeffs.setflags(write=False)
@@ -134,9 +138,6 @@ class PointerMixture:
 
 def mixture(ens: PrePostEnsemble, spec: CouplingSpec) -> PointerMixture:
     """Post-selected pointer state of a single coupling, one term per eigenvalue."""
-    if spec.observable.dim != ens.dim:
-        raise DimensionMismatchError(
-            f"observable dim {spec.observable.dim} != ensemble dim {ens.dim}")
     coeffs = branch_amplitudes(spec.observable, ens)
     shifts = [spec.g * a for a in spec.observable.eigenvalues]
     return PointerMixture(np.array(coeffs), np.array(shifts), spec.delta)
@@ -279,8 +280,8 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    if not 0 <= seed < 2**64:  # one Philox key word
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
     grid = _sampling_grid(m)
     pdf = position_pdf(m, grid)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2.0)])
@@ -306,8 +307,7 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
 
 def estimate(s: ReadingSample, g: float) -> WeakEstimate:
     """Weak-value estimate mean(readings)/g with its standard error."""
-    if g <= 0.0:
-        raise ValueError("g must be positive")
+    check_finite_positive(g=g)
     per_trial = s.readings / g
     n = s.trials
     # std(ddof=1) step by step as numpy computes it (same bits), but in place

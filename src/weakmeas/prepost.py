@@ -34,7 +34,6 @@ class PrePostEnsemble:
 
     pre: StateVector
     post: StateVector
-    epsilon: float = EPS_DEGENERATE
 
     def __post_init__(self):
         if self.pre.dim != self.post.dim:
@@ -44,9 +43,9 @@ class PrePostEnsemble:
             if not s.is_normalized:
                 raise ValueError(f"{which}-selected state is not normalized")
         ov = inner(self.post, self.pre)
-        if abs(ov) <= self.epsilon:
+        if abs(ov) <= EPS_DEGENERATE:
             raise DegenerateEnsembleError(
-                f"|<post|pre>| = {abs(ov):.3e} <= {self.epsilon:.1e}; "
+                f"|<post|pre>| = {abs(ov):.3e} <= {EPS_DEGENERATE:.1e}; "
                 "weak values are undefined for (near-)orthogonal selections")
         object.__setattr__(self, "_overlap", ov)
 

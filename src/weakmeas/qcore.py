@@ -147,15 +147,11 @@ class Observable:
 
     @classmethod
     def diagonal(cls, entries, name: str | None = None) -> "Observable":
-        """Observable diagonal in the computational basis."""
-        entries = np.asarray(entries, dtype=float)
-        dim = entries.size
-        pairs = []
-        for a in sorted(set(_snap(entries))):
-            mask = np.abs(entries - a) <= EIG_GROUP_TOL
-            pairs.append((a, np.diag(mask.astype(complex))))
-        return cls(np.diag(entries).astype(complex),
-                   tuple(a for a, _ in pairs), tuple(p for _, p in pairs), name=name)
+        """Observable diagonal in the computational basis; entries are grouped as in
+        ``from_projectors``, each contributing its basis projector."""
+        entries = np.asarray(entries, dtype=float).reshape(-1)
+        return cls.from_projectors(entries, [np.diag(row) for row in np.eye(entries.size)],
+                                   name=name)
 
     @classmethod
     def from_matrix(cls, matrix, name: str | None = None) -> "Observable":
@@ -195,15 +191,6 @@ class Observable:
     @classmethod
     def identity(cls, dim: int, name: str | None = None) -> "Observable":
         return cls(np.eye(dim, dtype=complex), (1.0,), (np.eye(dim, dtype=complex),), name=name)
-
-
-def _snap(values) -> list[float]:
-    """Collapse values that agree within EIG_GROUP_TOL to one representative."""
-    reps: list[float] = []
-    for v in sorted(float(x) for x in np.asarray(values).reshape(-1)):
-        if not reps or v - reps[-1] > EIG_GROUP_TOL:
-            reps.append(v)
-    return reps
 
 
 def _group_eigenpairs(eigenvalues, projectors):

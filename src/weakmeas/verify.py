@@ -267,7 +267,7 @@ def check_simultaneous() -> tuple[bool, str]:
         / abs(prepost.weak_value(o, ens).real)
         for k, o in enumerate((a, b)))
     ok = rel <= 0.01
-    return ok, f"Hardy joint deviation {dev:.2e}; grid-oracle relative error {rel:.2e}"
+    return ok, f"Hardy joint deviation {dev:.2e}; qubit-pair relative error {rel:.2e}"
 
 
 def check_collective() -> tuple[bool, str]:

@@ -324,11 +324,15 @@ _FUZZ_BASE = {
 }
 _FUZZ_FLAGS = {
     "weak-measure": {"--g": _HOSTILE, "--delta": _HOSTILE,
-                     "--trials": ["0", "-1", str(MAX_TRIALS + 1)]},
+                     "--trials": ["0", "-1", str(MAX_TRIALS + 1)], "--seed": ["-1", str(2**64)]},
     "simultaneous": {"--g": _HOSTILE, "--delta": _HOSTILE},
     "collective": {"--g": _HOSTILE, "--c": _HOSTILE, "--delta": _HOSTILE,
                    "--n-pairs": ["0", "-1"]},
 }
+_FUZZ_CONFIG = ["g = -1", "delta = nan", "trials = 0"]  # the same rules, from a config file
+# out of the domain, so exit exactly 2; 1e-300 and 1e300 are in it and may exit 0 or 3
+_OUT_OF_DOMAIN = {"0", "-1", "nan", "inf"}
+_ALWAYS_OUT = {"--trials", "--seed", "--n-pairs", "--config"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -336,15 +340,25 @@ _FUZZ_FLAGS = {
     for command, flags in _FUZZ_FLAGS.items()
     for flag, values in flags.items()
     for value in values
-], ids=" ".join)
-def test_hostile_input_fails_cleanly(argv, capsys):
-    """Out-of-range numbers exit 0, 2 or 3, with strict JSON or one error line."""
+] + [["weak-measure", "--observable", "N_pair_NO_NO", "--seed", "1", "--config", line]
+     for line in _FUZZ_CONFIG], ids=" ".join)
+def test_hostile_input_fails_cleanly(argv, tmp_path, capsys):
+    """Out-of-domain numbers exit 2, extreme ones 0 or 3: strict JSON or one error line."""
+    flag, value = argv[-2:]
+    if flag == "--config":
+        cfg = tmp_path / "hostile.cfg"
+        cfg.write_text(value + "\n")
+        argv = [*argv[:-1], str(cfg)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(argv, capsys)
     assert code in (0, 2, 3)
     assert not caught, [str(w.message) for w in caught]
     assert "Traceback" not in err
+    if flag in _ALWAYS_OUT or value in _OUT_OF_DOMAIN:
+        name = value.split(" ")[0] if flag == "--config" else flag[2:].replace("-", "_")
+        assert code == 2
+        assert err.startswith(f"error: config: {name} must be")
     if code == 0:
         jsonschema.validate(json.loads(out, parse_constant=_reject_constant),
                             result_schema())

@@ -399,6 +399,13 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 10e6  # readings / g is 8 MB; std(ddof=1) would add 8 MB more
 
+    @pytest.mark.parametrize("g", [0.0, -1.0, np.nan, np.inf])
+    def test_estimate_rejects_non_finite_or_non_positive_g(self, g):
+        # NaN used to slip past a bare g <= 0 check (estimate NaN), inf gave 0.0
+        reading = ReadingSample(np.ones(4), seed=1, trials=4)
+        with pytest.raises(ValueError, match=f"g must be finite and positive, got {g}"):
+            estimate(reading, g)
+
     def test_invalid_args(self, pair_no_no_weak):
         with pytest.raises(ValueError):
             sample(pair_no_no_weak, 0, seed=1)

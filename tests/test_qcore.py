@@ -184,6 +184,20 @@ class TestObservable:
         obs = Observable.from_matrix(np.diag([1.0, 1.0 + 1e-12, 3.0]).astype(complex))
         assert len(obs.eigenvalues) == 2
 
+    @pytest.mark.parametrize("entries, groups", [
+        ([0.0, 5e-11, 1.0], [(0.0, [1, 1, 0]), (1.0, [0, 0, 1])]),
+        ([0.0, 8e-11, 1.6e-10], [(0.0, [1, 1, 0]), (1.6e-10, [0, 0, 1])]),
+    ])
+    def test_diagonal_groups_near_degenerate_entries(self, entries, groups):
+        # grouped as from_projectors groups them; these used to fail the
+        # reconstruction and completeness checks
+        obs = Observable.diagonal(entries)
+        ref = Observable.from_projectors(entries, [np.diag(row) for row in np.eye(3)])
+        assert obs.eigenvalues == tuple(a for a, _ in groups) == ref.eigenvalues
+        for p, (_, diag) in zip(obs.projectors, groups):
+            np.testing.assert_array_equal(p, np.diag(diag))
+        np.testing.assert_array_equal(obs.matrix, ref.matrix)
+
     @given(nonzero_state(3), nonzero_state(3))
     def test_hermitian_adjoint_identity(self, a, b):
         rng = np.random.default_rng(5)
