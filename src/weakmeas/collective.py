@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .pointer import SAMPLE_GRID_PADDING, check_finite_positive
-from .prepost import PrePostEnsemble, branch_amplitudes, weak_value
+from .prepost import PrePostEnsemble, branch_amplitudes, check_dimensions, weak_value
 from .qcore import Observable
 
 MODE_GRID_POINTS = 4096
@@ -63,8 +63,7 @@ class CollectiveSpec:
         if self.n_pairs < 0 or int(self.n_pairs) != self.n_pairs:
             raise ValueError("n_pairs must be a non-negative integer")
         check_finite_positive(g=self.g, delta=self.delta)
-        if self.observable.dim != self.ensemble.dim:
-            raise ValueError("observable and ensemble dimensions differ")
+        check_dimensions(self.observable, self.ensemble)
 
     @property
     def alphas(self) -> tuple[complex, complex]:

@@ -31,13 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllBranchesVanishError,
-    DimensionMismatchError,
-    QuadratureError,
-    UnsupportedConfigurationError,
-)
-from .prepost import PrePostEnsemble, branch_amplitudes
+from .errors import AllBranchesVanishError, QuadratureError, UnsupportedConfigurationError
+from .prepost import PrePostEnsemble, branch_amplitudes, check_dimensions
 from .qcore import Observable
 
 # Mean pointer momentum after post-selection, weak limit:
@@ -346,9 +341,7 @@ def simultaneous(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]
     if not specs:
         raise ValueError("specs must be non-empty")
     for spec in specs:
-        if spec.observable.dim != ens.dim:
-            raise DimensionMismatchError(
-                f"observable dim {spec.observable.dim} != ensemble dim {ens.dim}")
+        check_dimensions(spec.observable, ens)
     rows = ens.post.amplitudes.conj()[None, :]
     branches = np.zeros((1, 0), dtype=np.intp)  # eigenvalue index t_m of each live branch
     for spec in specs:

@@ -95,10 +95,15 @@ class AblDistribution:
         return dict(self.entries)
 
 
-def weak_value(a: Observable, ens: PrePostEnsemble) -> WeakValue:
-    """<post|A|pre> / <post|pre>; generally complex, possibly outside the spectrum."""
+def check_dimensions(a: Observable, ens: PrePostEnsemble) -> None:
+    """The one rule for coupling an observable to an ensemble: same dimension."""
     if a.dim != ens.dim:
         raise DimensionMismatchError(f"observable dim {a.dim} != ensemble dim {ens.dim}")
+
+
+def weak_value(a: Observable, ens: PrePostEnsemble) -> WeakValue:
+    """<post|A|pre> / <post|pre>; generally complex, possibly outside the spectrum."""
+    check_dimensions(a, ens)
     num = np.vdot(ens.post.amplitudes, a.matrix @ ens.pre.amplitudes)
     return WeakValue(complex(num / ens.overlap), observable=a.name)
 
@@ -109,8 +114,7 @@ def postselection_probability(ens: PrePostEnsemble) -> float:
 
 def branch_amplitudes(a: Observable, ens: PrePostEnsemble) -> tuple[complex, ...]:
     """Per-eigenvalue amplitudes <post|P_i|pre>; they sum to the overlap."""
-    if a.dim != ens.dim:
-        raise DimensionMismatchError(f"observable dim {a.dim} != ensemble dim {ens.dim}")
+    check_dimensions(a, ens)
     return tuple(complex(np.vdot(ens.post.amplitudes, p @ ens.pre.amplitudes))
                  for p in a.projectors)
 

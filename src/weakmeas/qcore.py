@@ -13,6 +13,7 @@ absolute; degenerate eigenvalues are grouped at 1e-10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import DimensionMismatchError
 
 ATOL = 1e-12
 EIG_GROUP_TOL = 1e-10
-_PAIR_BLOCK = 1 << 18  # complex entries of P_i P_j products held at once (4 MB)
+_PAIR_BLOCK = 1 << 16  # complex entries of P_i P_j products held at once (1 MB)
 
 
 def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
@@ -29,6 +30,7 @@ def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
     return out
 
 
+@cache
 def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(str(k) for k in range(dim))
 
@@ -94,43 +96,19 @@ class Observable:
 
     def __post_init__(self):
         mat = _frozen(np.asarray(self.matrix))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("observable matrix must be square")
-        # NaN fails every comparison, so the checks below read
-        # not (deviation <= tol): a NaN eigenvalue or projector fails them too
-        if not np.isfinite(mat).all():
-            raise ValueError("observable matrix is not finite")
-        if not np.abs(mat - mat.conj().T).max() <= ATOL:
-            raise ValueError("observable matrix is not Hermitian within 1e-12")
-        evals = tuple(float(a) for a in self.eigenvalues)
-        if len(self.projectors) != len(evals) or not evals:
-            raise ValueError("need one projector per eigenvalue")
-        if any(np.shape(p) != mat.shape for p in self.projectors):
-            raise ValueError(f"every projector must have the matrix shape {mat.shape}")
-        # the family is checked as one (k, d, d) stack, one array pass per identity
-        stack = _frozen(self.projectors)
-        k, dim = stack.shape[:2]
-        if not np.abs(stack.sum(axis=0) - np.eye(dim)).max() <= ATOL:
-            raise ValueError("projectors do not sum to the identity")
-        # P_i P_j for every pair from one matrix product, rows (i, a) by
-        # columns (j, c); a family too large for one block goes a few i at a time
-        right = stack.transpose(1, 0, 2).reshape(dim, k * dim)
-        rows = max(1, _PAIR_BLOCK // (k * dim * dim))
-        for lo in range(0, k, rows):
-            block = stack[lo:lo + rows]
-            n = len(block)
-            prods = (block.reshape(n * dim, dim) @ right).reshape(n, dim, k, dim)
-            same = np.einsum("iaic->iac", prods[:, :, lo:lo + n])  # view of the i == j pairs
-            same -= block
-            if not np.abs(prods).max() <= ATOL:
-                raise ValueError("projector family is not orthogonal")
-        recon = (np.array(evals)[:, None, None] * stack).sum(axis=0)
-        if not np.abs(recon - mat).max() <= ATOL:
-            raise ValueError("spectral reconstruction does not match matrix")
-        projs = tuple(stack)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "eigenvalues", evals)
-        object.__setattr__(self, "projectors", projs)
+        evals = tuple(map(float, self.eigenvalues))
+        try:
+            stack = _frozen(self.projectors)
+        except ValueError:  # a ragged family: its (k, 0) stand-in fails the shape check
+            stack = np.empty((len(self.projectors), 0))
+        _check_families(mat[None], np.array([evals]), stack[None])
+        self._set(mat, evals, tuple(stack), self.name)
+
+    def _set(self, matrix, eigenvalues, projectors, name) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "name", name)
 
     @property
     def dim(self) -> int:
@@ -161,36 +139,131 @@ class Observable:
         simultaneous-measurement verification route); eigenvalues within
         1e-10 of each other share one projector.
         """
-        mat = np.asarray(matrix, dtype=complex)
-        if not np.isfinite(mat).all():
+        return cls._from_matrices(np.asarray(matrix, dtype=complex)[None], name)[0]
+
+    @classmethod
+    def _from_matrices(cls, matrices, name: str | None = None) -> list["Observable"]:
+        """``from_matrix`` of each matrix of an (n, d, d) stack, in order.
+
+        One stacked eigensolve; the members that group their eigenvalues alike
+        (all of them, unless some are near-degenerate) are built and checked
+        as one batch, with the per-matrix arithmetic of ``from_matrix``.
+        """
+        mats = np.asarray(matrices, dtype=complex)
+        if not np.isfinite(mats).all():
             raise ValueError("matrix is not finite")
-        if not np.abs(mat - mat.conj().T).max() <= ATOL:
+        if not np.abs(mats - mats.conj().transpose(0, 2, 1)).max() <= ATOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
-        evals, vecs = np.linalg.eigh(mat)
-        values = evals.tolist()
-        pairs = []
-        k = 0
-        while k < len(values):
-            j = k
-            while j + 1 < len(values) and values[j + 1] - values[k] <= EIG_GROUP_TOL:
-                j += 1
-            block = vecs[:, k:j + 1]
-            a = values[k] if j == k else float(np.mean(evals[k:j + 1]))
-            pairs.append((a, block @ block.conj().T))
-            k = j + 1
-        evs = tuple(a for a, _ in pairs)
-        projs = tuple(p for _, p in pairs)
-        # store the matrix rebuilt from the grouped decomposition so the
+        evals, vecs = np.linalg.eigh(mats)
+        if (evals[:, 1:] - evals[:, :-1]).min(initial=np.inf) > EIG_GROUP_TOL:
+            return cls._from_eigh(mats, evals, vecs, None, name)
+        # two adjacent eigenvalues within the tolerance: group every member on
+        # its own, and build the members that group alike together
+        out: list = [None] * len(mats)
+        batches: dict[tuple, list[int]] = {}
+        for m, values in enumerate(evals.tolist()):
+            batches.setdefault(_groups(values), []).append(m)
+        for groups, members in batches.items():
+            built = cls._from_eigh(mats[members], evals[members], vecs[members], groups, name)
+            for m, obs in zip(members, built):
+                out[m] = obs
+        return out
+
+    @classmethod
+    def _from_eigh(cls, mats, evals, vecs, groups, name) -> list["Observable"]:
+        """The observables of one stacked eigensolve whose members all group
+        their eigenvalues as ``groups`` ([lo, hi) ranges; None: one projector
+        per eigenvalue), with the per-matrix arithmetic of ``from_matrix``."""
+        if groups is None:
+            # every (d, 1) @ (1, d) column product in one call; one product per
+            # eigenvalue, as below, costs a single from_matrix 20-30% more
+            cols = vecs.transpose(0, 2, 1)[:, :, :, None]
+            stack = cols @ cols.conj().transpose(0, 1, 3, 2)
+        else:
+            blocks = [vecs[:, :, lo:hi] for lo, hi in groups]
+            stack = np.stack([c @ c.conj().transpose(0, 2, 1) for c in blocks], axis=1)
+            evals = np.stack([evals[:, lo] if hi - lo == 1 else evals[:, lo:hi].mean(axis=1)
+                              for lo, hi in groups], axis=1)
+        # summed in the order of sum(a * p for a, p in pairs), 0 + ... included
+        terms = evals[:, :, None, None] * stack
+        recon = 0
+        for i in range(evals.shape[1]):
+            recon = recon + terms[:, i]
+        # the matrix rebuilt from the grouped decomposition is stored, so the
         # spectral identities hold at 1e-12 even when grouping snapped
         # nearly-degenerate eigenvalues together
-        recon = sum(a * p for a, p in pairs)
-        if not np.abs(recon - mat).max() <= 1e-9:
+        if not np.abs(recon - mats).max() <= 1e-9:
             raise ValueError("eigenvalue grouping lost too much accuracy")
-        return cls(recon, evs, projs, name=name)
+        recon.setflags(write=False)
+        stack.setflags(write=False)
+        _check_families(recon, evals, stack)
+        out = [object.__new__(cls) for _ in range(len(mats))]
+        for obs, mat, row, family in zip(out, recon, evals.tolist(), stack):
+            obs._set(mat, tuple(row), tuple(family), name)
+        return out
 
     @classmethod
     def identity(cls, dim: int, name: str | None = None) -> "Observable":
         return cls(np.eye(dim, dtype=complex), (1.0,), (np.eye(dim, dtype=complex),), name=name)
+
+
+def _check_families(mat: np.ndarray, evals: np.ndarray, stack: np.ndarray) -> None:
+    """Check a batch of spectral families, member m being (mat[m], evals[m],
+    stack[m]) of shapes (d, d), (k,) and (k, d, d).
+
+    Raises the ValueError of the first check that some member fails, so a
+    batch with one bad member fails as that member would alone.  A shape
+    fault is one of the whole batch, since the batch is one array.
+    """
+    if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
+        raise ValueError("observable matrix must be square")
+    # NaN fails every comparison, so the checks below read
+    # not (deviation <= tol): a NaN eigenvalue or projector fails them too
+    if not np.isfinite(mat).all():
+        raise ValueError("observable matrix is not finite")
+    if not np.abs(mat - mat.conj().transpose(0, 2, 1)).max() <= ATOL:
+        raise ValueError("observable matrix is not Hermitian within 1e-12")
+    n, k = evals.shape
+    if stack.shape[1] != k or not k:
+        raise ValueError("need one projector per eigenvalue")
+    if stack.shape[2:] != mat.shape[1:]:
+        raise ValueError(f"every projector must have the matrix shape {mat.shape[1:]}")
+    dim = mat.shape[1]
+    if not np.abs(stack.sum(axis=1) - np.eye(dim)).max() <= ATOL:
+        raise ValueError("projectors do not sum to the identity")
+    # P_i P_j for every pair from one matrix product per member, rows (i, a)
+    # by columns (j, c); at most _PAIR_BLOCK products are held at once: whole
+    # members together when one fits, else a few rows i of one member
+    row = k * dim * dim
+    rows = min(k, max(1, _PAIR_BLOCK // row))
+    members = max(1, _PAIR_BLOCK // (k * row))
+    right = stack.transpose(0, 2, 1, 3).reshape(n, dim, k * dim)
+    for m in range(0, n, members):
+        for lo in range(0, k, rows):
+            block = stack[m:m + members, lo:lo + rows]
+            b, r = block.shape[:2]
+            prods = (block.reshape(b, r * dim, dim) @ right[m:m + b]).reshape(b, r, dim, k, dim)
+            same = np.einsum("miaic->miac", prods[:, :, :, lo:lo + r])  # view of the i == j pairs
+            same -= block
+            if not np.abs(prods).max() <= ATOL:
+                raise ValueError("projector family is not orthogonal")
+    recon = (evals[:, :, None, None] * stack).sum(axis=1)
+    if not np.abs(recon - mat).max() <= ATOL:
+        raise ValueError("spectral reconstruction does not match matrix")
+
+
+def _groups(values: list[float]) -> tuple[tuple[int, int], ...]:
+    """Index ranges [lo, hi) of ascending eigenvalues that share one
+    projector: those within EIG_GROUP_TOL of their range's first."""
+    out = []
+    k = 0
+    while k < len(values):
+        j = k
+        while j + 1 < len(values) and values[j + 1] - values[k] <= EIG_GROUP_TOL:
+            j += 1
+        out.append((k, j + 1))
+        k = j + 1
+    return tuple(out)
 
 
 def _group_eigenpairs(eigenvalues, projectors):

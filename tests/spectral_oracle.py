@@ -1,0 +1,54 @@
+"""The original per-matrix ``Observable`` construction, kept as a test oracle.
+
+``pairwise_validate`` is the spectral-family check one projector pair at a
+time, and ``pairwise_from_matrix`` the eigensolver route one matrix at a
+time.  The stacked checks and the batched build in ``qcore`` must agree
+with them: same verdicts, same messages, bit-identical arrays.
+"""
+
+import numpy as np
+
+from weakmeas.qcore import ATOL, EIG_GROUP_TOL
+
+
+def pairwise_validate(matrix, eigenvalues, projectors) -> None:
+    """The original ``Observable.__post_init__`` checks, one pair at a time."""
+    mat = np.array(np.asarray(matrix), dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("observable matrix must be square")
+    if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        raise ValueError("observable matrix is not Hermitian within 1e-12")
+    projs = tuple(np.array(p, dtype=complex) for p in projectors)
+    evals = tuple(float(a) for a in eigenvalues)
+    if len(projs) != len(evals) or not projs:
+        raise ValueError("need one projector per eigenvalue")
+    if np.max(np.abs(sum(projs) - np.eye(mat.shape[0]))) > ATOL:
+        raise ValueError("projectors do not sum to the identity")
+    for i, p in enumerate(projs):
+        for j, q in enumerate(projs):
+            expect = p if i == j else 0.0
+            if np.max(np.abs(p @ q - expect)) > ATOL:
+                raise ValueError("projector family is not orthogonal")
+    recon = sum(a * p for a, p in zip(evals, projs))
+    if np.max(np.abs(recon - mat)) > ATOL:
+        raise ValueError("spectral reconstruction does not match matrix")
+
+
+def pairwise_from_matrix(matrix):
+    """The original ``Observable.from_matrix``: (matrix, eigenvalues, projectors)."""
+    mat = np.asarray(matrix, dtype=complex)
+    evals, vecs = np.linalg.eigh(mat)
+    pairs = []
+    k = 0
+    while k < evals.size:
+        j = k
+        while j + 1 < evals.size and evals[j + 1] - evals[k] <= EIG_GROUP_TOL:
+            j += 1
+        block = vecs[:, k:j + 1]
+        pairs.append((float(np.mean(evals[k:j + 1])), block @ block.conj().T))
+        k = j + 1
+    recon = sum(a * p for a, p in pairs)
+    evs = tuple(a for a, _ in pairs)
+    projs = tuple(p for _, p in pairs)
+    pairwise_validate(recon, evs, projs)
+    return recon, evs, projs

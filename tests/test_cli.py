@@ -14,7 +14,7 @@ import pytest
 
 import weakmeas
 from weakmeas import verify
-from weakmeas.cli import render_json, result_schema, run
+from weakmeas.cli import MAX_PDF_POINTS, render_json, result_schema, run
 from weakmeas.pointer import MAX_TRIALS
 
 
@@ -322,17 +322,19 @@ _FUZZ_BASE = {
     "simultaneous": [],
     "collective": ["--n-pairs", "4"],
 }
+_PDF_POINTS = ["1", str(MAX_PDF_POINTS + 1)]
 _FUZZ_FLAGS = {
     "weak-measure": {"--g": _HOSTILE, "--delta": _HOSTILE,
-                     "--trials": ["0", "-1", str(MAX_TRIALS + 1)], "--seed": ["-1", str(2**64)]},
+                     "--trials": ["0", "-1", str(MAX_TRIALS + 1)], "--seed": ["-1", str(2**64)],
+                     "--pdf-points": _PDF_POINTS},
     "simultaneous": {"--g": _HOSTILE, "--delta": _HOSTILE},
     "collective": {"--g": _HOSTILE, "--c": _HOSTILE, "--delta": _HOSTILE,
-                   "--n-pairs": ["0", "-1"]},
+                   "--n-pairs": ["0", "-1"], "--pdf-points": _PDF_POINTS},
 }
 _FUZZ_CONFIG = ["g = -1", "delta = nan", "trials = 0"]  # the same rules, from a config file
 # out of the domain, so exit exactly 2; 1e-300 and 1e300 are in it and may exit 0 or 3
 _OUT_OF_DOMAIN = {"0", "-1", "nan", "inf"}
-_ALWAYS_OUT = {"--trials", "--seed", "--n-pairs", "--config"}
+_ALWAYS_OUT = {"--trials", "--seed", "--n-pairs", "--pdf-points", "--config"}
 
 
 @pytest.mark.parametrize("argv", [

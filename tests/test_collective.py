@@ -24,7 +24,7 @@ from weakmeas.collective import (
     density_grid,
     success_probability,
 )
-from weakmeas.errors import QuadratureError
+from weakmeas.errors import DimensionMismatchError, QuadratureError
 from weakmeas.prepost import PrePostEnsemble, weak_value
 from weakmeas.qcore import Observable, StateVector
 
@@ -91,6 +91,15 @@ class TestSpec:
     def test_regime_flag(self, scenario):
         assert make_spec(scenario, n=4, g=0.1, delta=1.0).in_regime
         assert not make_spec(scenario, n=400, g=0.1, delta=1.0).in_regime
+
+    def test_dimension_mismatch_has_one_error_class(self, scenario):
+        # a WeakMeasError (exit 3) from every entry point, not a plain ValueError from some
+        two = Observable.diagonal([0, 1])
+        message = "observable dim 2 != ensemble dim 4"
+        with pytest.raises(DimensionMismatchError, match=message):
+            CollectiveSpec(scenario.ensemble, two, n_pairs=2, g=0.05, delta=1.0)
+        with pytest.raises(DimensionMismatchError, match=message):
+            pointer.mixture(scenario.ensemble, pointer.CouplingSpec(two, g=0.05, delta=1.0))
 
 
 class TestMixture:

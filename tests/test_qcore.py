@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from spectral_oracle import pairwise_from_matrix, pairwise_validate
 
 from weakmeas import qcore, verify
 from weakmeas.errors import DimensionMismatchError
 from weakmeas.qcore import (
-    ATOL,
-    EIG_GROUP_TOL,
     Observable,
     StateVector,
     inner,
@@ -223,49 +222,6 @@ def projector_from_matrix(p: np.ndarray) -> Observable:
 # The stacked spectral-family check against the pairwise loop it replaced
 # ---------------------------------------------------------------------------
 
-def pairwise_validate(matrix, eigenvalues, projectors) -> None:
-    """The original ``Observable.__post_init__`` checks, one pair at a time."""
-    mat = np.array(np.asarray(matrix), dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("observable matrix must be square")
-    if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-        raise ValueError("observable matrix is not Hermitian within 1e-12")
-    projs = tuple(np.array(p, dtype=complex) for p in projectors)
-    evals = tuple(float(a) for a in eigenvalues)
-    if len(projs) != len(evals) or not projs:
-        raise ValueError("need one projector per eigenvalue")
-    if np.max(np.abs(sum(projs) - np.eye(mat.shape[0]))) > ATOL:
-        raise ValueError("projectors do not sum to the identity")
-    for i, p in enumerate(projs):
-        for j, q in enumerate(projs):
-            expect = p if i == j else 0.0
-            if np.max(np.abs(p @ q - expect)) > ATOL:
-                raise ValueError("projector family is not orthogonal")
-    recon = sum(a * p for a, p in zip(evals, projs))
-    if np.max(np.abs(recon - mat)) > ATOL:
-        raise ValueError("spectral reconstruction does not match matrix")
-
-
-def pairwise_from_matrix(matrix):
-    """The original ``Observable.from_matrix``: (matrix, eigenvalues, projectors)."""
-    mat = np.asarray(matrix, dtype=complex)
-    evals, vecs = np.linalg.eigh(mat)
-    pairs = []
-    k = 0
-    while k < evals.size:
-        j = k
-        while j + 1 < evals.size and evals[j + 1] - evals[k] <= EIG_GROUP_TOL:
-            j += 1
-        block = vecs[:, k:j + 1]
-        pairs.append((float(np.mean(evals[k:j + 1])), block @ block.conj().T))
-        k = j + 1
-    recon = sum(a * p for a, p in pairs)
-    evs = tuple(a for a, _ in pairs)
-    projs = tuple(p for _, p in pairs)
-    pairwise_validate(recon, evs, projs)
-    return recon, evs, projs
-
-
 def outcome(validate, *args) -> str | None:
     """None when ``validate`` accepts, else its ValueError message."""
     try:
@@ -273,6 +229,26 @@ def outcome(validate, *args) -> str | None:
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def batch_validate(matrix, eigenvalues, projectors) -> None:
+    """The stacked check on the batch [valid, family, valid].
+
+    The valid member is a diagonal family of the same shapes.  A family with
+    a shape fault has no valid neighbour, so it is checked as [family] * 3.
+    """
+    family = (np.asarray(matrix, dtype=complex), np.asarray(eigenvalues, dtype=float),
+              np.asarray(projectors, dtype=complex))
+    members = [family] * 3
+    mat, evals, stack = family
+    dim, k = mat.shape[0], evals.size
+    if mat.shape == (dim, dim) and stack.shape == (k, dim, dim) and 1 <= k <= dim:
+        projs = np.array([np.diag(np.isin(np.arange(dim), g)) for g in
+                          np.array_split(np.arange(dim), k)], dtype=complex)
+        vals = np.arange(k, dtype=float)
+        valid = ((vals[:, None, None] * projs).sum(axis=0), vals, projs)
+        members = [valid, family, valid]
+    qcore._check_families(*(np.array(part) for part in zip(*members)))
 
 
 def _random_hermitian(rng, dim):
@@ -349,12 +325,11 @@ class TestStackedValidation:
     @pytest.mark.parametrize("name, obs", FAMILIES, ids=[n for n, _ in FAMILIES])
     def test_same_verdicts_as_pairwise(self, name, obs, pair_block):
         family = (obs.matrix, obs.eigenvalues, obs.projectors)
-        assert outcome(pairwise_validate, *family) is None
-        assert outcome(Observable, *family) is None
-        for eps, expected in ((1e-14, None), (1e-9, "projectors do not sum to the identity")):
-            perturbed = _perturbed(obs, eps)
-            assert outcome(pairwise_validate, *perturbed) == expected
-            assert outcome(Observable, *perturbed) == expected
+        for validate in (pairwise_validate, Observable, batch_validate):
+            assert outcome(validate, *family) is None
+            for eps, expected in ((1e-14, None),
+                                  (1e-9, "projectors do not sum to the identity")):
+                assert outcome(validate, *_perturbed(obs, eps)) == expected
 
     @pytest.mark.parametrize("args, message", [
         ((np.ones((2, 3)), (1.0,), (np.eye(2),)), "observable matrix must be square"),
@@ -367,12 +342,18 @@ class TestStackedValidation:
         # 0.5 I twice sums to I and rebuilds 0.5 I, but (0.5 I)(0.5 I) != 0
         ((0.5 * np.eye(2), (0.0, 1.0), (0.5 * np.eye(2), 0.5 * np.eye(2))),
          "projector family is not orthogonal"),
+        # only P_1 P_1 != P_1 is wrong, so a check that stops after row i = 0 passes it
+        ((np.diag([0.0, 1.0]), (0.0, 1.0, 1.0),
+          (np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, 0.5]))),
+         "projector family is not orthogonal"),
         ((np.diag([2.0, 0.0]), (1.0, 0.0), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
          "spectral reconstruction does not match matrix"),
-    ], ids=["square", "hermitian", "count", "empty", "complete", "orthogonal", "reconstruction"])
+    ], ids=["square", "hermitian", "count", "empty", "complete", "orthogonal", "orthogonal-row-1",
+            "reconstruction"])
     def test_rejection_messages(self, args, message, pair_block):
-        assert outcome(pairwise_validate, *args) == message
-        assert outcome(Observable, *args) == message
+        # the batch check names the one bad member's fault as the single check does
+        for validate in (pairwise_validate, Observable, batch_validate):
+            assert outcome(validate, *args) == message
 
     @pytest.mark.parametrize("projectors", [
         (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])),
@@ -399,9 +380,23 @@ class TestStackedValidation:
             tracemalloc.stop()
         assert peak < 12e6
 
+    def test_batch_products_stay_in_bounded_blocks(self):
+        # 600 dim-6 families: all 777,600 pair products at once peak near 21 MB
+        rng = np.random.default_rng(6)
+        built = Observable._from_matrices(np.array([_random_hermitian(rng, 6)
+                                                    for _ in range(600)]))
+        batch = tuple(np.array(part) for part in zip(
+            *((o.matrix, o.eigenvalues, o.projectors) for o in built)))
+        tracemalloc.start()
+        try:
+            qcore._check_families(*batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     @staticmethod
-    def assert_bit_identical(h):
-        obs = Observable.from_matrix(h)
+    def assert_bit_identical(obs, h):
         matrix, evals, projs = pairwise_from_matrix(h)
         assert obs.matrix.tobytes() == matrix.tobytes()
         assert np.array(obs.eigenvalues).tobytes() == np.array(evals).tobytes()
@@ -410,22 +405,59 @@ class TestStackedValidation:
             assert new.tobytes() == old.tobytes()
 
     def test_from_matrix_bit_identical_on_additivity_stream(self):
-        # the first 300 draws of verify criterion 5
+        # all draws of verify criterion 5, from its batches and one matrix at a time
         rng = np.random.default_rng(verify.ADDITIVITY_SEED)
-        for _ in range(300):
+        for _, a, b, ab in verify._additivity_triples():
             dim = int(rng.integers(2, 7))
             verify._random_ensemble(rng, dim)
-            a, b = _random_hermitian(rng, dim), _random_hermitian(rng, dim)
-            ab = Observable.from_matrix(a).matrix + Observable.from_matrix(b).matrix
-            for h in (a, b, ab):
-                self.assert_bit_identical(h)
+            ha, hb = verify._random_hermitian(rng, dim), verify._random_hermitian(rng, dim)
+            hab = pairwise_from_matrix(ha)[0] + pairwise_from_matrix(hb)[0]
+            for obs, h in ((a, ha), (b, hb), (ab, hab)):
+                self.assert_bit_identical(obs, h)
+                self.assert_bit_identical(Observable.from_matrix(h), h)
 
-    def test_from_matrix_bit_identical_with_grouped_eigenvalues(self):
+    @staticmethod
+    def near_degenerate() -> np.ndarray:
         rng = np.random.default_rng(8)
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-        near = u @ np.diag([1.0, 1.0 + 3e-11, 3.0]) @ u.conj().T
-        for h in (near, _collective_total()):
-            self.assert_bit_identical(h)
+        return u @ np.diag([1.0, 1.0 + 3e-11, 3.0]) @ u.conj().T
+
+    def test_from_matrix_bit_identical_with_grouped_eigenvalues(self):
+        for h in (self.near_degenerate(), _collective_total()):
+            self.assert_bit_identical(Observable.from_matrix(h), h)
+
+    def test_batch_with_one_near_degenerate_member(self):
+        rng = np.random.default_rng(9)
+        batch = np.array([_random_hermitian(rng, 3), self.near_degenerate(),
+                          _random_hermitian(rng, 3)])
+        built = Observable._from_matrices(batch)
+        assert [len(obs.eigenvalues) for obs in built] == [3, 2, 3]
+        for obs, h in zip(built, batch):
+            self.assert_bit_identical(obs, h)
+            single = Observable.from_matrix(h)
+            assert obs.matrix.tobytes() == single.matrix.tobytes()
+            assert obs.eigenvalues == single.eigenvalues
+            assert all(p.tobytes() == q.tobytes()
+                       for p, q in zip(obs.projectors, single.projectors, strict=True))
+
+    def test_batch_is_checked_once_per_grouping(self, monkeypatch):
+        calls = []
+        real = qcore._check_families
+        monkeypatch.setattr(qcore, "_check_families", lambda *a: calls.append(a) or real(*a))
+        rng = np.random.default_rng(10)
+        batch = np.array([_random_hermitian(rng, 3), self.near_degenerate(),
+                          _random_hermitian(rng, 3), _random_hermitian(rng, 3)])
+        Observable._from_matrices(batch)
+        assert [len(mat) for mat, _, _ in calls] == [3, 1]
+        calls.clear()
+        verify._additivity_triples()
+        assert len(calls) == 10  # A and B, then A + B, for each dimension 2-6
+
+    def test_batch_members_are_read_only(self):
+        for obs in Observable._from_matrices(np.array([np.eye(2), np.diag([1.0, 2.0])])):
+            for arr in (obs.matrix, *obs.projectors):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 5.0
 
 
 class TestNonFinite:

@@ -1,8 +1,11 @@
-"""``verify`` internals: its numpy KS test and its worst-case folds.
+"""``verify`` internals: its numpy KS test, its batched criterion 5 and its
+worst-case folds.
 
 ``verify`` computes the KS statistic and its p-value itself so that it never
 imports ``scipy.stats``; ``scipy.stats.kstest`` and ``kstwo`` stay here as the
-oracle.  A NaN anywhere in a check's worst-case fold must fail the check.
+oracle.  Criterion 5 builds its observables in stacks; the per-triple loop
+it replaced stays here as the oracle.  A NaN anywhere in a check's worst-case
+fold must fail the check.
 """
 
 import itertools
@@ -15,9 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from spectral_oracle import pairwise_from_matrix
 
 import weakmeas
 from weakmeas import collective, hardy, pointer, prepost, verify
+from weakmeas.qcore import Observable
 
 N = 100_000  # criterion 8's sample size
 
@@ -55,6 +60,39 @@ def test_pvalue_edges(d, expected):
 def test_pvalue_is_a_probability(n):
     for d in np.geomspace(1e-7, 0.999, 400):
         assert 0.0 <= verify._ks_pvalue(n, float(d)) <= 1.0
+
+
+def additivity_loop() -> list[float]:
+    """Criterion 5 one triple at a time, each observable from the original from_matrix."""
+    rng = np.random.default_rng(verify.ADDITIVITY_SEED)
+    errs = []
+    for _ in range(verify.ADDITIVITY_TRIALS):
+        dim = int(rng.integers(2, 7))
+        ens = verify._random_ensemble(rng, dim)
+        a = Observable(*pairwise_from_matrix(verify._random_hermitian(rng, dim)))
+        b = Observable(*pairwise_from_matrix(verify._random_hermitian(rng, dim)))
+        ab = Observable(*pairwise_from_matrix(a.matrix + b.matrix))
+        lhs = prepost.weak_value(ab, ens).value
+        rhs = prepost.weak_value(a, ens).value + prepost.weak_value(b, ens).value
+        errs.append(abs(lhs - rhs))
+    return errs
+
+
+def test_additivity_differences_match_the_per_triple_loop(monkeypatch):
+    folded = []
+    real = verify._worst
+
+    def capture(values, fold=np.max):
+        folded.append(list(values))
+        return real(folded[-1], fold)
+
+    monkeypatch.setattr(verify, "_worst", capture)
+    passed, detail = verify.check_additivity()
+    expected = additivity_loop()
+    assert len(folded) == 1 and len(expected) == verify.ADDITIVITY_TRIALS
+    assert np.array(folded[0]).tobytes() == np.array(expected).tobytes()
+    assert passed
+    assert detail == f"1000 random triples, worst |(A+B)_w - A_w - B_w| = {max(expected):.2e}"
 
 
 def test_verify_never_imports_scipy_stats():
