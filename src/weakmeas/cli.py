@@ -46,21 +46,27 @@ POSTSELECT_CHOICES = {
     "oo": "O_O",
 }
 
-# every option: (type, built-in default)
+# every option: (type, built-in default, argparse keywords).  Flags read
+# --name unless a "flag" keyword names one, and the "choices" bound the value
+# on the command line and in a config file alike.
 _OPTIONS = {
-    "g": (float, 0.05),
-    "delta": (float, 1.0),
-    "c": (float, 5.0),
-    "trials": (int, 100_000),
-    "seed": (int, None),
-    "n_pairs": (int, 100),
-    "pdf_points": (int, None),
-    "observable": (str, None),
-    "postselect": (str, "dd"),
-    "format": (str, "json"),
-    "output_path": (str, None),
-    "interaction": (bool, True),
-    "timing": (bool, False),
+    "config": (str, None, {"help": "flat key = value parameter file"}),
+    "output_path": (str, None, {"help": "write here instead of stdout"}),
+    "format": (str, "json", {"choices": ("json", "csv")}),
+    "timing": (bool, False, {"action": "store_const", "const": True, "help":
+                             "include wall time in the document (breaks byte determinism)"}),
+    "interaction": (bool, True, {"flag": "--no-interaction", "action": "store_const",
+                                 "const": False, "help": "disable the annihilation projection"}),
+    "observable": (str, None, {}),
+    "postselect": (str, "dd", {"choices": sorted(POSTSELECT_CHOICES)}),
+    "n_pairs": (int, 100, {}),
+    "g": (float, 0.05, {}),
+    "c": (float, 5.0, {"help": "pointer width as delta = c * g * sqrt(N) (default 5)"}),
+    "delta": (float, 1.0, {"help": "pointer width; for collective, overrides --c"}),
+    "trials": (int, 100_000, {}),
+    "seed": (int, None, {}),
+    "pdf_points": (int, None, {"help": "with --format csv and one observable: "
+                                       "emit q,pdf columns"}),
 }
 
 
@@ -92,9 +98,9 @@ def _parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _OPTIONS:
+        if key not in _OPTIONS or key == "config":
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        typ = _OPTIONS[key][0]
+        typ, _, kw = _OPTIONS[key]
         try:
             if typ is bool:
                 lowered = value.lower()
@@ -109,6 +115,10 @@ def _parse_config_file(path: str) -> dict:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad {typ.__name__} value {value!r} "
                              f"for {key}") from exc
+        choices = kw.get("choices")
+        if choices and values[key] not in choices:
+            raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                             f"{', '.join(choices)}, got {value!r}")
     return values
 
 
@@ -117,7 +127,7 @@ def _merge_params(args: argparse.Namespace) -> tuple[dict, set[str]]:
 
     Also reports which keys were explicitly provided (by either source).
     """
-    params = {key: default for key, (_, default) in _OPTIONS.items()}
+    params = {key: default for key, (_, default, _) in _OPTIONS.items()}
     provided: set[str] = set()
     if getattr(args, "config", None):
         from_file = _parse_config_file(args.config)
@@ -143,11 +153,7 @@ def _resolve_observables(params: dict, default: str | None = None) -> list[str]:
 
 
 def _resolve_ensemble(params: dict, scenario) -> PrePostEnsemble:
-    key = params["postselect"]
-    if key not in POSTSELECT_CHOICES:
-        raise ValueError(f"unknown postselect {key!r}; choose from "
-                         f"{', '.join(sorted(POSTSELECT_CHOICES))}")
-    post = hardy.postselection_variants(scenario)[POSTSELECT_CHOICES[key]]
+    post = hardy.postselection_variants(scenario)[POSTSELECT_CHOICES[params["postselect"]]]
     return PrePostEnsemble(scenario.preselected, post)
 
 
@@ -231,18 +237,13 @@ def _cmd_weak_measure(params: dict, provided: set[str]):
         }
         rows.append((name, est.estimate, est.stderr, est.trials, wv.real, wv.imag))
         if params["pdf_points"]:
-            grid = np.linspace(*_pdf_span(m), params["pdf_points"])
+            grid = pointer._sampling_grid(m, params["pdf_points"])
             pdf = pointer.position_pdf(m, grid)
             pdf_rows = [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
     inputs = {"g": params["g"], "delta": params["delta"], "trials": params["trials"],
               "seed": params["seed"], "postselect": params["postselect"],
               "observable": params["observable"] or "all"}
     return results, inputs, warnings, (pdf_rows or rows)
-
-
-def _pdf_span(m: pointer.PointerMixture) -> tuple[float, float]:
-    span = float(np.max(np.abs(m.shifts))) + 8.0 * m.delta
-    return -span, span
 
 
 def _cmd_simultaneous(params: dict, provided: set[str]):
@@ -321,14 +322,21 @@ def _cmd_verify(params: dict, provided: set[str]):
     return results, {}, ([] if failed == 0 else [f"{failed} criteria failed"]), rows
 
 
-_HANDLERS = {
-    "hardy-table": _cmd_hardy_table,
-    "detector-stats": _cmd_detector_stats,
-    "abl": _cmd_abl,
-    "weak-measure": _cmd_weak_measure,
-    "simultaneous": _cmd_simultaneous,
-    "collective": _cmd_collective,
-    "verify": _cmd_verify,
+_COMMON = ("config", "output_path", "format", "timing")
+# every command: (handler, help, its options after _COMMON in --help order)
+_COMMANDS = {
+    "hardy-table": (_cmd_hardy_table, "the eight weak values and p_postselect", ()),
+    "detector-stats": (_cmd_detector_stats, "detector coincidence probabilities",
+                       ("interaction",)),
+    "abl": (_cmd_abl, "ideal intermediate measurement statistics",
+            ("observable", "postselect")),
+    "weak-measure": (_cmd_weak_measure, "Monte Carlo pointer read-out",
+                     ("observable", "postselect", "g", "delta", "trials", "seed", "pdf_points")),
+    "simultaneous": (_cmd_simultaneous, "joint weak measurement of all eight",
+                     ("postselect", "g", "delta")),
+    "collective": (_cmd_collective, "N-pair total-occupation pointer statistics",
+                   ("observable", "postselect", "n_pairs", "g", "c", "delta", "pdf_points")),
+    "verify": (_cmd_verify, "run the full acceptance suite", ()),
 }
 
 
@@ -356,59 +364,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="weakmeas",
                      description="pre/post-selected weak measurement simulations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value parameter file")
-        p.add_argument("--output-path", dest="output_path", help="write here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--timing", action="store_const", const=True, default=None,
-                       help="include wall time in the document (breaks byte determinism)")
-
-    p = sub.add_parser("hardy-table", help="the eight weak values and p_postselect")
-    add_common(p)
-
-    p = sub.add_parser("detector-stats", help="detector coincidence probabilities")
-    add_common(p)
-    p.add_argument("--no-interaction", dest="interaction", action="store_const",
-                   const=False, default=None,
-                   help="disable the annihilation projection")
-
-    p = sub.add_parser("abl", help="ideal intermediate measurement statistics")
-    add_common(p)
-    p.add_argument("--observable", default=None)
-    p.add_argument("--postselect", default=None, choices=sorted(POSTSELECT_CHOICES))
-
-    p = sub.add_parser("weak-measure", help="Monte Carlo pointer read-out")
-    add_common(p)
-    p.add_argument("--observable", default=None)
-    p.add_argument("--postselect", default=None, choices=sorted(POSTSELECT_CHOICES))
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--pdf-points", dest="pdf_points", type=int, default=None,
-                   help="with --format csv and one observable: emit q,pdf columns")
-
-    p = sub.add_parser("simultaneous", help="joint weak measurement of all eight")
-    add_common(p)
-    p.add_argument("--postselect", default=None, choices=sorted(POSTSELECT_CHOICES))
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-
-    p = sub.add_parser("collective", help="N-pair total-occupation pointer statistics")
-    add_common(p)
-    p.add_argument("--observable", default=None)
-    p.add_argument("--postselect", default=None, choices=sorted(POSTSELECT_CHOICES))
-    p.add_argument("--n-pairs", dest="n_pairs", type=int, default=None)
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--c", type=float, default=None,
-                   help="pointer width as delta = c * g * sqrt(N) (default 5)")
-    p.add_argument("--delta", type=float, default=None,
-                   help="explicit pointer width; overrides --c")
-    p.add_argument("--pdf-points", dest="pdf_points", type=int, default=None)
-
-    p = sub.add_parser("verify", help="run the full acceptance suite")
-    add_common(p)
+    for command, (_, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in _COMMON + names:
+            typ, _, kw = _OPTIONS[name]
+            kw = dict(kw)
+            flag = kw.pop("flag", "--" + name.replace("_", "-"))
+            if typ is not bool:  # a store_const switch takes no type
+                kw["type"] = typ
+            # default None: _merge_params tells a given flag from an absent one
+            p.add_argument(flag, dest=name, default=None, **kw)
     return parser
 
 
@@ -417,15 +382,13 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params, provided = _merge_params(args)
-        if params["format"] not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {params['format']!r}")
         if params["pdf_points"] is not None and not 2 <= params["pdf_points"] <= MAX_PDF_POINTS:
             raise ValueError(f"pdf_points must be in [2, {MAX_PDF_POINTS}], "
                              f"got {params['pdf_points']}")
         start = time.perf_counter()
         # numpy's overflow warnings are redundant: rendering rejects non-finite results
         with np.errstate(all="ignore"):
-            results, inputs, warnings, rows = _HANDLERS[args.command](params, provided)
+            results, inputs, warnings, rows = _COMMANDS[args.command][0](params, provided)
         elapsed_ms = (time.perf_counter() - start) * 1e3
     except WeakMeasError as exc:
         print(f"error: computation: {exc}", file=sys.stderr)

@@ -150,6 +150,8 @@ class Observable:
         as one batch, with the per-matrix arithmetic of ``from_matrix``.
         """
         mats = np.asarray(matrices, dtype=complex)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError("observable matrix must be square")
         if not np.isfinite(mats).all():
             raise ValueError("matrix is not finite")
         if not np.abs(mats - mats.conj().transpose(0, 2, 1)).max() <= ATOL:
@@ -267,16 +269,11 @@ def _groups(values: list[float]) -> tuple[tuple[int, int], ...]:
 
 
 def _group_eigenpairs(eigenvalues, projectors):
-    groups: list[tuple[float, np.ndarray]] = []
+    """(first value, projector sum) of each ``_groups`` range of the sorted values."""
     order = np.argsort(np.asarray(eigenvalues, dtype=float))
-    for idx in order:
-        a = float(eigenvalues[idx])
-        p = projectors[idx]
-        if groups and a - groups[-1][0] <= EIG_GROUP_TOL:
-            groups[-1] = (groups[-1][0], groups[-1][1] + p)
-        else:
-            groups.append((a, p.copy()))
-    return groups
+    values = [float(eigenvalues[i]) for i in order]
+    return [(values[lo], sum((projectors[i] for i in order[lo + 1:hi]), projectors[order[lo]]))
+            for lo, hi in _groups(values)]
 
 
 def _check_same_dim(a_dim: int, b_dim: int, what: str) -> None:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,8 +14,8 @@ import jsonschema
 import pytest
 
 import weakmeas
-from weakmeas import verify
-from weakmeas.cli import MAX_PDF_POINTS, render_json, result_schema, run
+from weakmeas import cli, hardy, pointer, verify
+from weakmeas.cli import MAX_PDF_POINTS, build_parser, render_json, result_schema, run
 from weakmeas.pointer import MAX_TRIALS
 
 
@@ -127,6 +128,18 @@ class TestWeakMeasure:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 64
         assert set(rows[0]) == {"q", "pdf"}
+
+    def test_pdf_rows_span_the_sampling_grid(self, capsys):
+        # the rows cover the sampler's window, +-(max|shift| + 10 delta)
+        code, out, _ = run_cli(
+            ["weak-measure", "--observable", "N_minus_O", "--seed", "1", "--g", "0.2",
+             "--delta", "0.5", "--trials", "10", "--pdf-points", "64", "--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        scenario = hardy.build()
+        spec = pointer.CouplingSpec(scenario.observable("N_minus_O"), g=0.2, delta=0.5)
+        grid = pointer._sampling_grid(pointer.mixture(scenario.ensemble, spec), 64)
+        assert (float(rows[0]["q"]), float(rows[-1]["q"])) == (grid[0], grid[-1])
 
     @pytest.mark.parametrize("flag", ["--g", "--delta"])
     def test_non_finite_result_exits_3(self, flag, capsys):
@@ -271,6 +284,112 @@ class TestConfigFile:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(["hardy-table", "--config", "/nonexistent.cfg"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["postselect = zz", "format = xml"])
+    def test_value_outside_the_choices_exits_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out_file = tmp_path / "doc.json"
+        code, out, err = run_cli(["abl", "--config", str(cfg), "--output-path", str(out_file)],
+                                 capsys)
+        assert code == 2
+        assert out == "" and not out_file.exists()
+        assert err.startswith("error: config:")
+        assert err.count("\n") == 1
+
+
+# the flags every command takes, then each command's own, in --help order
+_COMMON_FLAGS = ["--config", "--output-path", "--format", "--timing"]
+_COMMAND_FLAGS = {
+    "hardy-table": [],
+    "detector-stats": ["--no-interaction"],
+    "abl": ["--observable", "--postselect"],
+    "weak-measure": ["--observable", "--postselect", "--g", "--delta", "--trials", "--seed",
+                     "--pdf-points"],
+    "simultaneous": ["--postselect", "--g", "--delta"],
+    "collective": ["--observable", "--postselect", "--n-pairs", "--g", "--c", "--delta",
+                   "--pdf-points"],
+    "verify": [],
+}
+# every flag: (dest, its argument or None for a switch, the parsed value)
+_FLAG_VALUES = {
+    "--config": ("config", "run.cfg", "run.cfg"),
+    "--output-path": ("output_path", "doc.json", "doc.json"),
+    "--format": ("format", "csv", "csv"),
+    "--timing": ("timing", None, True),
+    "--no-interaction": ("interaction", None, False),
+    "--observable": ("observable", "N_minus_O", "N_minus_O"),
+    "--postselect": ("postselect", "cc", "cc"),
+    "--g": ("g", "0.1", 0.1),
+    "--delta": ("delta", "2", 2.0),
+    "--c": ("c", "3", 3.0),
+    "--trials": ("trials", "5", 5),
+    "--seed": ("seed", "7", 7),
+    "--n-pairs": ("n_pairs", "4", 4),
+    "--pdf-points": ("pdf_points", "64", 64),
+}
+_CHOICES = {"--format": ["json", "csv"], "--postselect": ["dd", "cc", "cd", "dc", "oo"]}
+
+
+def _argv(command, flag, value=None):
+    _, arg, _ = _FLAG_VALUES[flag]
+    return [command, flag] + ([value or arg] if arg else [])
+
+
+class TestFlagMap:
+    """Each command's flags, pinned as a literal map rather than read from the tables."""
+
+    @pytest.mark.parametrize("command", _COMMAND_FLAGS)
+    def test_help_lists_the_flags_in_order(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, flags=re.M)
+        assert flags == _COMMON_FLAGS + _COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("command", _COMMAND_FLAGS)
+    def test_absent_flags_parse_to_none(self, command):
+        dests = [_FLAG_VALUES[flag][0] for flag in _COMMON_FLAGS + _COMMAND_FLAGS[command]]
+        assert vars(build_parser().parse_args([command])) == {"command": command,
+                                                               **dict.fromkeys(dests)}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, own in _COMMAND_FLAGS.items()
+        for flag in _COMMON_FLAGS + own])
+    def test_every_flag_parses(self, command, flag):
+        dest, _, value = _FLAG_VALUES[flag]
+        parsed = getattr(build_parser().parse_args(_argv(command, flag)), dest)
+        assert parsed == value
+        assert type(parsed) is type(value)
+
+    # argparse takes a unique prefix of a long flag, so where --c is foreign it
+    # abbreviates --config
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, own in _COMMAND_FLAGS.items()
+        for flag in _FLAG_VALUES if flag not in _COMMON_FLAGS + own + ["--c"]])
+    def test_flag_of_another_command_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(_argv(command, flag))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: config: unrecognized arguments")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", _CHOICES)
+    def test_choice_sets(self, flag, capsys):
+        dest = _FLAG_VALUES[flag][0]
+        for choice in _CHOICES[flag]:
+            assert getattr(build_parser().parse_args(_argv("abl", flag, choice)), dest) == choice
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(_argv("abl", flag, "zz"))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: config: argument " + flag)
+
+
+def test_every_option_row_is_used():
+    used = set(cli._COMMON).union(*(names for _, _, names in cli._COMMANDS.values()))
+    assert used == set(cli._OPTIONS)
 
 
 class TestOutputPath:

@@ -179,6 +179,11 @@ class TestObservable:
             np.testing.assert_allclose(recon, obs.matrix, atol=1e-12)
             np.testing.assert_allclose(sum(obs.projectors), np.eye(dim), atol=1e-12)
 
+    @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "vector"])
+    def test_from_matrix_rejects_non_square_matrix(self, matrix):
+        with pytest.raises(ValueError, match="observable matrix must be square"):
+            Observable.from_matrix(matrix)
+
     def test_degenerate_grouping(self):
         obs = Observable.from_matrix(np.diag([1.0, 1.0 + 1e-12, 3.0]).astype(complex))
         assert len(obs.eigenvalues) == 2
