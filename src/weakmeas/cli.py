@@ -71,7 +71,14 @@ _OPTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with single-line errors and exit code 2."""
+    """argparse with single-line errors and exit code 2.
+
+    Flags must be spelled in full: a prefix such as ``--c`` never stands for
+    a longer flag (``--config``) that the command also takes.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         print(f"error: config: {message}", file=sys.stderr)
@@ -153,7 +160,7 @@ def _resolve_observables(params: dict, default: str | None = None) -> list[str]:
 
 
 def _resolve_ensemble(params: dict, scenario) -> PrePostEnsemble:
-    post = hardy.postselection_variants(scenario)[POSTSELECT_CHOICES[params["postselect"]]]
+    post = hardy.postselection_variants()[POSTSELECT_CHOICES[params["postselect"]]]
     return PrePostEnsemble(scenario.preselected, post)
 
 

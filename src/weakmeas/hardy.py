@@ -14,7 +14,8 @@ name: four single-particle projectors and four pair products,
     N_minus_X  - electron in arm X            N_plus_X  - positron in arm X
     N_pair_X_Y - positron in arm X and electron in arm Y (product operator).
 
-All of them are diagonal in the arm product basis with eigenvalues {0, 1}.
+Each is built from one arm table as the diagonal observable that is 1
+exactly on the arm products its arm condition allows, and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -24,15 +25,30 @@ from math import sqrt
 
 import numpy as np
 
-from . import prepost, qcore
+from . import prepost
 from .prepost import AblDistribution, PrePostEnsemble, certainty_check, weak_value
-from .qcore import Observable, StateVector, inner, op_tensor, tensor
+from .qcore import Observable, StateVector, inner, tensor
 
 ARMS = ("NO", "O")
 
-SINGLE_NAMES = ("N_minus_O", "N_plus_O", "N_minus_NO", "N_plus_NO")
-PAIR_NAMES = ("N_pair_O_O", "N_pair_O_NO", "N_pair_NO_O", "N_pair_NO_NO")
-OBSERVABLE_ORDER = SINGLE_NAMES + PAIR_NAMES
+# every observable as (positron arm, electron arm), None meaning either arm
+_ARMS_OF = {
+    "N_minus_O": (None, "O"),
+    "N_plus_O": ("O", None),
+    "N_minus_NO": (None, "NO"),
+    "N_plus_NO": ("NO", None),
+    "N_pair_O_O": ("O", "O"),
+    "N_pair_O_NO": ("O", "NO"),
+    "N_pair_NO_O": ("NO", "O"),
+    "N_pair_NO_NO": ("NO", "NO"),
+}
+OBSERVABLE_ORDER = tuple(_ARMS_OF)
+
+# one interferometer's detector ports, C = (|NO> + |O>)/sqrt(2) and
+# D = (|NO> - |O>)/sqrt(2), and its overlapping arm |O>
+_PORTS = {port: StateVector(np.array([1.0, sign], dtype=complex) / sqrt(2.0), ARMS)
+          for port, sign in (("C", 1.0), ("D", -1.0))}
+_ARM_O = StateVector(np.array([0.0, 1.0], dtype=complex), ARMS)
 
 TABLE_TOL = 1e-12
 
@@ -44,19 +60,14 @@ class HardyScenario:
     initial: StateVector
     preselected: StateVector
     postselected: StateVector
-    singles: dict[str, Observable]
-    pairs: dict[str, Observable]
+    observables: dict[str, Observable]
     ensemble: PrePostEnsemble
 
-    def observables(self) -> dict[str, Observable]:
-        return {**self.singles, **self.pairs}
-
     def observable(self, name: str) -> Observable:
-        table = self.observables()
-        if name not in table:
+        if name not in self.observables:
             raise KeyError(
                 f"unknown observable {name!r}; valid names: {', '.join(OBSERVABLE_ORDER)}")
-        return table[name]
+        return self.observables[name]
 
 
 @dataclass(frozen=True)
@@ -67,32 +78,21 @@ class WeakValueTable:
 
     def __post_init__(self):
         for name, value in self.entries.items():
-            if abs(value.imag) > TABLE_TOL:
+            if not abs(value.imag) <= TABLE_TOL:  # NaN fails too
                 raise ValueError(f"{name}: unexpected imaginary part {value.imag}")
 
     def real_values(self) -> dict[str, float]:
         return {name: v.real for name, v in self.entries.items()}
 
 
-def _arm_basis(label: str) -> StateVector:
-    amps = [1.0 if arm == label else 0.0 for arm in ARMS]
-    return StateVector(np.array(amps, dtype=complex), ARMS)
-
-
-def _arm_superposition(sign: float) -> StateVector:
-    """(|NO> + sign|O>)/sqrt(2) on one interferometer."""
-    return StateVector(np.array([1.0, sign], dtype=complex) / sqrt(2.0), ARMS)
-
-
 def build() -> HardyScenario:
     """Construct the canonical scenario.
 
     The beam-splitter superposition signs are hard-coded: free propagation is
-    arranged to add no relative phase between the arms.
+    arranged to add no relative phase between the arms, so each particle
+    leaves its first beam splitter in the C port state.
     """
-    plus = _arm_superposition(+1.0)
-    minus = _arm_superposition(-1.0)
-    initial = tensor(plus, plus)
+    initial = tensor(_PORTS["C"], _PORTS["C"])
 
     # pre-selection: project out the annihilated O·O branch and renormalize
     survived = np.array(initial.amplitudes)
@@ -100,32 +100,20 @@ def build() -> HardyScenario:
     preselected = StateVector(survived, initial.labels).normalized()
 
     # post-selection: both dark detectors fire
-    postselected = tensor(minus, minus)
+    postselected = tensor(_PORTS["D"], _PORTS["D"])
 
-    ident = Observable.identity(2)
-    arm_proj = {arm: qcore.projector(_arm_basis(arm)) for arm in ARMS}
-    singles = {
-        "N_minus_O": op_tensor(ident, arm_proj["O"]),
-        "N_plus_O": op_tensor(arm_proj["O"], ident),
-        "N_minus_NO": op_tensor(ident, arm_proj["NO"]),
-        "N_plus_NO": op_tensor(arm_proj["NO"], ident),
-    }
-    pairs = {}
-    for p_arm in ARMS:
-        for e_arm in ARMS:
-            name = f"N_pair_{p_arm}_{e_arm}"
-            product = singles[f"N_plus_{p_arm}"].matrix @ singles[f"N_minus_{e_arm}"].matrix
-            pairs[name] = Observable.diagonal(np.real(np.diag(product)), name=name)
-
-    singles = {name: Observable(obs.matrix, obs.eigenvalues, obs.projectors, name=name)
-               for name, obs in singles.items()}
+    # each observable is 1 exactly on the arm products its arms allow
+    observables = {
+        name: Observable.diagonal(
+            [float(arm_p in (None, p) and arm_e in (None, e)) for p in ARMS for e in ARMS],
+            name=name)
+        for name, (arm_p, arm_e) in _ARMS_OF.items()}
 
     scenario = HardyScenario(
         initial=initial,
         preselected=preselected,
         postselected=postselected,
-        singles=singles,
-        pairs=pairs,
+        observables=observables,
         ensemble=PrePostEnsemble(preselected, postselected),
     )
     _validate(scenario)
@@ -133,19 +121,15 @@ def build() -> HardyScenario:
 
 
 def _validate(s: HardyScenario) -> None:
-    if abs(s.preselected.amplitude("O·O")) > TABLE_TOL:
+    # NaN fails every comparison, so the checks read not (deviation <= tol)
+    if not abs(s.preselected.amplitude("O·O")) <= TABLE_TOL:
         raise AssertionError("annihilated branch survived pre-selection")
-    for name, obs in s.observables().items():
-        diag = np.diag(obs.matrix)
-        if np.max(np.abs(obs.matrix - np.diag(diag))) > TABLE_TOL:
-            raise AssertionError(f"{name} is not diagonal in the arm basis")
-        if not all(min(abs(d), abs(d - 1.0)) <= TABLE_TOL for d in diag.real):
-            raise AssertionError(f"{name} has eigenvalues outside {{0, 1}}")
+    mat = {name: obs.matrix for name, obs in s.observables.items()}
     for p_arm in ARMS:
         for e_arm in ARMS:
-            prod = s.singles[f"N_plus_{p_arm}"].matrix @ s.singles[f"N_minus_{e_arm}"].matrix
-            if np.max(np.abs(s.pairs[f"N_pair_{p_arm}_{e_arm}"].matrix - prod)) > TABLE_TOL:
-                raise AssertionError("pair operator is not the product of singles")
+            prod = mat[f"N_plus_{p_arm}"] @ mat[f"N_minus_{e_arm}"]
+            if not np.max(np.abs(mat[f"N_pair_{p_arm}_{e_arm}"] - prod)) <= TABLE_TOL:
+                raise AssertionError("pair operator is not the product of its one-particle ones")
 
 
 def weak_value_table(s: HardyScenario) -> WeakValueTable:
@@ -155,21 +139,15 @@ def weak_value_table(s: HardyScenario) -> WeakValueTable:
     return WeakValueTable(entries)
 
 
-def postselection_variants(s: HardyScenario) -> dict[str, StateVector]:
+def postselection_variants() -> dict[str, StateVector]:
     """Alternative final conditions: detector coincidences plus the O·O branch.
 
     The O·O branch is orthogonal to the pre-selected state (it is exactly what
     annihilation removed), so selecting it yields a degenerate ensemble.
     """
-    plus = _arm_superposition(+1.0)
-    minus = _arm_superposition(-1.0)
-    variants = {
-        "D_plus_D_minus": s.postselected,
-        "C_plus_C_minus": tensor(plus, plus),
-        "C_plus_D_minus": tensor(plus, minus),
-        "D_plus_C_minus": tensor(minus, plus),
-        "O_O": tensor(_arm_basis("O"), _arm_basis("O")),
-    }
+    variants = {f"{p}_plus_{e}_minus": tensor(_PORTS[p], _PORTS[e])
+                for p in _PORTS for e in _PORTS}
+    variants["O_O"] = tensor(_ARM_O, _ARM_O)
     return variants
 
 
@@ -194,9 +172,8 @@ def identity_chain(s: HardyScenario) -> IdentityChainReport:
     identity is also used on its own, appendix-style, to recover the NO·NO
     pair value from the seven certain ones.
     """
-    obs = s.observables()
     ident = np.eye(4)
-    mat = {name: o.matrix for name, o in obs.items()}
+    mat = {name: o.matrix for name, o in s.observables.items()}
     identities = {
         "electron_arm_completeness": mat["N_minus_O"] + mat["N_minus_NO"] - ident,
         "positron_arm_completeness": mat["N_plus_O"] + mat["N_plus_NO"] - ident,
@@ -208,18 +185,20 @@ def identity_chain(s: HardyScenario) -> IdentityChainReport:
                               + mat["N_pair_O_NO"] + mat["N_pair_NO_NO"] - ident),
     }
     residuals = {name: float(np.max(np.abs(m))) for name, m in identities.items()}
-    bad = {name: r for name, r in residuals.items() if r > TABLE_TOL}
+    bad = {name: r for name, r in residuals.items() if not r <= TABLE_TOL}
     if bad:
         raise AssertionError(f"operator identities violated: {bad}")
 
-    anchor_names = ("N_minus_O", "N_plus_O", "N_pair_O_O")
-    anchors = {}
-    for name in anchor_names:
-        eig = certainty_check(obs[name], s.ensemble)
+    appendix_inputs = {}
+    for name in OBSERVABLE_ORDER:
+        if name == "N_pair_NO_NO":
+            continue
+        eig = certainty_check(s.observables[name], s.ensemble)
         if eig is None:
-            raise AssertionError(f"{name} is not conditionally certain")
-        anchors[name] = eig
+            raise AssertionError(f"{name} expected to be conditionally certain")
+        appendix_inputs[name] = eig
 
+    anchors = {name: appendix_inputs[name] for name in ("N_minus_O", "N_plus_O", "N_pair_O_O")}
     derived = dict(anchors)
     derived["N_minus_NO"] = 1.0 - derived["N_minus_O"]
     derived["N_plus_NO"] = 1.0 - derived["N_plus_O"]
@@ -227,23 +206,16 @@ def identity_chain(s: HardyScenario) -> IdentityChainReport:
     derived["N_pair_O_NO"] = derived["N_plus_O"] - derived["N_pair_O_O"]
     derived["N_pair_NO_NO"] = (1.0 - derived["N_pair_O_O"]
                                - derived["N_pair_NO_O"] - derived["N_pair_O_NO"])
-
-    appendix_inputs = {}
-    for name in OBSERVABLE_ORDER:
-        if name == "N_pair_NO_NO":
-            continue
-        eig = certainty_check(obs[name], s.ensemble)
-        if eig is None:
-            raise AssertionError(f"{name} expected to be conditionally certain")
-        appendix_inputs[name] = eig
     appendix_pair_value = (1.0 - appendix_inputs["N_pair_O_O"]
                            - appendix_inputs["N_pair_NO_O"]
                            - appendix_inputs["N_pair_O_NO"])
 
     table = weak_value_table(s).real_values()
-    deviation = max(abs(derived[name] - table[name]) for name in OBSERVABLE_ORDER)
-    deviation = max(deviation, abs(appendix_pair_value - table["N_pair_NO_NO"]))
-    if deviation > TABLE_TOL:
+    # np.max, unlike the builtin max, keeps a NaN deviation
+    deviation = float(np.max(np.abs(
+        [derived[name] - table[name] for name in OBSERVABLE_ORDER]
+        + [appendix_pair_value - table["N_pair_NO_NO"]])))
+    if not deviation <= TABLE_TOL:
         raise AssertionError(f"derived table deviates from direct one by {deviation}")
 
     return IdentityChainReport(
@@ -284,19 +256,12 @@ def detector_statistics(s: HardyScenario, interaction: bool = True) -> DetectorS
         annihilation = 0.0
     survivor = StateVector(amps, s.initial.labels)
 
-    plus = _arm_superposition(+1.0)
-    minus = _arm_superposition(-1.0)
-    ports = {"C_plus": plus, "D_plus": minus}
-    ports_e = {"C_minus": plus, "D_minus": minus}
-    coincidences = {}
-    for p_name, p_state in ports.items():
-        for e_name, e_state in ports_e.items():
-            key = f"{p_name}_{e_name}"
-            amp = inner(tensor(p_state, e_state), survivor)
-            coincidences[key] = float(abs(amp) ** 2)
+    coincidences = {key: float(abs(inner(state, survivor)) ** 2)
+                    for key, state in sorted(postselection_variants().items())
+                    if key != "O_O"}
 
     total = annihilation + sum(coincidences.values())
-    if abs(total - 1.0) > TABLE_TOL:
+    if not abs(total - 1.0) <= TABLE_TOL:
         raise AssertionError(f"detector distribution sums to {total}")
     no_annihilation = 1.0 - annihilation
     conditional = coincidences["D_plus_D_minus"] / no_annihilation
@@ -333,7 +298,7 @@ def ideal_measurement_facts(s: HardyScenario) -> IdealMeasurementReport:
             if certainties[name] is not None:
                 raise AssertionError("N_pair_NO_NO should not be certain")
             dist = distributions[name].as_dict()
-            if abs(dist[0.0] - 0.8) > TABLE_TOL or abs(dist[1.0] - 0.2) > TABLE_TOL:
+            if not (abs(dist[0.0] - 0.8) <= TABLE_TOL and abs(dist[1.0] - 0.2) <= TABLE_TOL):
                 raise AssertionError(f"N_pair_NO_NO odds {dist} differ from 4/5 : 1/5")
         elif certainties[name] is None:
             raise AssertionError(f"{name} expected to be conditionally certain")

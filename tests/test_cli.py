@@ -362,11 +362,10 @@ class TestFlagMap:
         assert parsed == value
         assert type(parsed) is type(value)
 
-    # argparse takes a unique prefix of a long flag, so where --c is foreign it
-    # abbreviates --config
+    # flags are never abbreviated, so a foreign --c is not taken for --config
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, own in _COMMAND_FLAGS.items()
-        for flag in _FLAG_VALUES if flag not in _COMMON_FLAGS + own + ["--c"]])
+        for flag in _FLAG_VALUES if flag not in _COMMON_FLAGS + own])
     def test_flag_of_another_command_exits_2(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             run(_argv(command, flag))

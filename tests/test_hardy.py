@@ -6,6 +6,7 @@ import pytest
 from weakmeas import hardy
 from weakmeas.errors import DegenerateEnsembleError
 from weakmeas.prepost import PrePostEnsemble, abl_probabilities, weak_value
+from weakmeas.qcore import Observable, StateVector, op_tensor, projector, tensor
 
 SQRT3 = np.sqrt(3.0)
 
@@ -42,7 +43,7 @@ class TestBuild:
             1.0 / 12.0, abs=1e-12)
 
     def test_observables_diagonal_binary(self, scenario):
-        for name, obs in scenario.observables().items():
+        for name, obs in scenario.observables.items():
             diag = np.diag(obs.matrix).real
             np.testing.assert_allclose(obs.matrix, np.diag(diag), atol=1e-15)
             assert set(np.round(diag).astype(int)) <= {0, 1}, name
@@ -50,10 +51,34 @@ class TestBuild:
     def test_pairs_are_products_of_singles(self, scenario):
         for p_arm in ("NO", "O"):
             for e_arm in ("NO", "O"):
-                prod = (scenario.singles[f"N_plus_{p_arm}"].matrix
-                        @ scenario.singles[f"N_minus_{e_arm}"].matrix)
+                prod = (scenario.observable(f"N_plus_{p_arm}").matrix
+                        @ scenario.observable(f"N_minus_{e_arm}").matrix)
                 np.testing.assert_allclose(
-                    scenario.pairs[f"N_pair_{p_arm}_{e_arm}"].matrix, prod, atol=1e-15)
+                    scenario.observable(f"N_pair_{p_arm}_{e_arm}").matrix, prod, atol=1e-15)
+
+    def test_observables_match_the_tensor_construction(self, scenario):
+        # the singles as identity (x) arm projector, the pairs as the diagonal
+        # of the singles' products: the same bytes as the arm-table build
+        arm = {a: StateVector(np.eye(2, dtype=complex)[k], hardy.ARMS)
+               for k, a in enumerate(hardy.ARMS)}
+        ident = Observable.identity(2)
+        oracle = {}
+        for a in hardy.ARMS:
+            oracle[f"N_minus_{a}"] = op_tensor(ident, projector(arm[a]))
+            oracle[f"N_plus_{a}"] = op_tensor(projector(arm[a]), ident)
+        for p_arm in hardy.ARMS:
+            for e_arm in hardy.ARMS:
+                prod = oracle[f"N_plus_{p_arm}"].matrix @ oracle[f"N_minus_{e_arm}"].matrix
+                oracle[f"N_pair_{p_arm}_{e_arm}"] = Observable.diagonal(np.real(np.diag(prod)))
+        assert list(scenario.observables) == list(hardy.OBSERVABLE_ORDER)
+        for name in hardy.OBSERVABLE_ORDER:
+            got, want = scenario.observable(name), oracle[name]
+            assert got.name == name
+            assert got.matrix.tobytes() == want.matrix.tobytes(), name
+            assert np.array(got.eigenvalues).tobytes() == np.array(want.eigenvalues).tobytes()
+            assert len(got.projectors) == len(want.projectors), name
+            for p, q in zip(got.projectors, want.projectors):
+                assert p.tobytes() == q.tobytes(), name
 
     def test_unknown_observable_raises(self, scenario):
         with pytest.raises(KeyError, match="valid names"):
@@ -61,6 +86,10 @@ class TestBuild:
 
 
 class TestWeakValueTable:
+    def test_nan_imaginary_part_rejected(self):
+        with pytest.raises(ValueError, match="imaginary part"):
+            hardy.WeakValueTable({"a": complex(0.0, float("nan"))})
+
     def test_all_eight_values(self, scenario):
         table = hardy.weak_value_table(scenario)
         for name, expected in EXPECTED_TABLE.items():
@@ -128,6 +157,15 @@ class TestIdentityChain:
         assert len(report.appendix_inputs) == 7
         assert report.appendix_pair_value == pytest.approx(-1.0, abs=1e-12)
 
+    def test_nan_table_entry_raises(self, scenario, monkeypatch):
+        # a NaN entry past the first must not vanish from the deviation
+        entries = dict(hardy.weak_value_table(scenario).entries)
+        entries[hardy.OBSERVABLE_ORDER[1]] = complex(float("nan"), 0.0)
+        monkeypatch.setattr(hardy, "weak_value_table",
+                            lambda s: hardy.WeakValueTable(entries))
+        with pytest.raises(AssertionError, match="deviates"):
+            hardy.identity_chain(scenario)
+
     def test_electron_bookkeeping(self, scenario):
         # one positive and one negative pair cancel in the non-overlapping arm
         report = hardy.identity_chain(scenario)
@@ -161,12 +199,25 @@ class TestDetectorStatistics:
 
 class TestPostselectionVariants:
     def test_annihilation_branch_is_degenerate(self, scenario):
-        variants = hardy.postselection_variants(scenario)
+        variants = hardy.postselection_variants()
         with pytest.raises(DegenerateEnsembleError):
             PrePostEnsemble(scenario.preselected, variants["O_O"])
 
     def test_detector_variants_are_valid_ensembles(self, scenario):
-        variants = hardy.postselection_variants(scenario)
+        variants = hardy.postselection_variants()
         for key in ("D_plus_D_minus", "C_plus_C_minus", "C_plus_D_minus", "D_plus_C_minus"):
             ens = PrePostEnsemble(scenario.preselected, variants[key])
             assert abs(ens.overlap) > 0.1
+
+    def test_states_are_the_port_products(self):
+        c = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), hardy.ARMS)
+        d = StateVector(np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0), hardy.ARMS)
+        o = StateVector(np.array([0.0, 1.0], dtype=complex), hardy.ARMS)
+        expected = {"C_plus_C_minus": tensor(c, c), "C_plus_D_minus": tensor(c, d),
+                    "D_plus_C_minus": tensor(d, c), "D_plus_D_minus": tensor(d, d),
+                    "O_O": tensor(o, o)}
+        variants = hardy.postselection_variants()
+        assert sorted(variants) == sorted(expected)
+        for key, state in expected.items():
+            assert variants[key].labels == state.labels
+            assert variants[key].amplitudes.tobytes() == state.amplitudes.tobytes(), key

@@ -550,7 +550,7 @@ class TestSimultaneous:
                                       "C_plus_D_minus", "D_plus_C_minus"])
     def test_hardy_family_bit_identical_to_joint_blocks(self, scenario, post, g, delta):
         ens = PrePostEnsemble(scenario.preselected,
-                              hardy.postselection_variants(scenario)[post])
+                              hardy.postselection_variants()[post])
         specs = [CouplingSpec(scenario.observable(n), g=g, delta=delta)
                  for n in hardy.OBSERVABLE_ORDER]
         assert simultaneous(ens, specs) == joint_block_oracle(ens, specs)

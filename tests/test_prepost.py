@@ -165,6 +165,17 @@ class TestCertainty:
         assert dist.probability(0.0) == pytest.approx(0.8, abs=1e-12)
         assert certainty_check(Observable.diagonal([0.0, 1.0]), ens) is None
 
+    def test_certainty_within_tolerance_does_not_raise(self):
+        # p(1) = 1 - 1e-12 counts as certain, yet the weak value is 0.999999:
+        # near-certainty pins the weak value only to about sqrt(tol)
+        ens = PrePostEnsemble(state(np.cos(np.pi / 4), np.sin(np.pi / 4)),
+                              StateVector(np.array([1e-6, np.sqrt(1.0 - 1e-12)])))
+        obs = Observable.diagonal([0.0, 1.0])
+        assert abl_probabilities(obs, ens).probability(1.0) == pytest.approx(
+            1.0 - 1e-12, abs=1e-15)
+        assert certainty_check(obs, ens) == 1.0
+        assert weak_value(obs, ens).value == pytest.approx(0.999999, abs=1e-12)
+
     def test_random_certainty_bearing_ensembles_obey_rule(self):
         # post-selections orthogonal to one branch force the other outcome;
         # the weak value must then sit at that eigenvalue
