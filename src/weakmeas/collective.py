@@ -148,8 +148,8 @@ def _momentum_pointer(spec: CollectiveSpec):
     mean, var = _moments(weight, lq)
     coarse_mean, coarse_var = _moments(weight[::2], lq[::2])
     tol = GRID_CHECK_RTOL * math.sqrt(var)
-    if (abs(mean - coarse_mean) > tol
-            or abs(math.sqrt(var) - math.sqrt(coarse_var)) > tol):
+    if not (abs(mean - coarse_mean) <= tol
+            and abs(math.sqrt(var) - math.sqrt(coarse_var)) <= tol):  # NaN fails too
         raise QuadratureError(
             f"momentum grid unresolved at step {step:g}: the mean or spread "
             "changes when every second point is dropped")

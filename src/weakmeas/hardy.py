@@ -105,8 +105,7 @@ def build() -> HardyScenario:
     # each observable is 1 exactly on the arm products its arms allow
     observables = {
         name: Observable.diagonal(
-            [float(arm_p in (None, p) and arm_e in (None, e)) for p in ARMS for e in ARMS],
-            name=name)
+            [float(arm_p in (None, p) and arm_e in (None, e)) for p in ARMS for e in ARMS])
         for name, (arm_p, arm_e) in _ARMS_OF.items()}
 
     scenario = HardyScenario(

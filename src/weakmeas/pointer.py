@@ -78,24 +78,24 @@ class CouplingSpec:
         return self.g * self.spectral_span < self.delta
 
 
-def _overlap_weights(coeffs: np.ndarray, shifts, deltas) -> tuple[np.ndarray, np.ndarray]:
+def _overlap_weights(coeffs: np.ndarray, shifts, deltas) -> np.ndarray:
     """Pair weights Re(c_i* c_j)*K_ij of a Gaussian mixture over one or more pointers.
 
     K_ij = prod_m exp(-(s_mi - s_mj)^2 / (2 delta_m^2)) is the overlap kernel
-    of terms i and j; returns (weights, K).
+    of terms i and j.
     """
     kernel = np.ones((coeffs.size, coeffs.size))
     for s, delta in zip(shifts, deltas):
         kernel *= np.exp(-np.subtract.outer(s, s) ** 2 / (2.0 * delta**2))
-    return np.real(np.outer(coeffs.conj(), coeffs)) * kernel, kernel
+    return np.real(np.outer(coeffs.conj(), coeffs)) * kernel
 
 
 @dataclass(frozen=True)
 class PointerMixture:
     """Post-selected pointer wavefunction: coefficients, shifts and width.
 
-    The overlap kernel, the pair weights and the pair midpoints (s_i + s_j)/2
-    are computed once, at construction; the closed forms below read them.
+    The pair weights and the pair midpoints (s_i + s_j)/2 are computed once,
+    at construction; the closed forms below read them.
     """
 
     coefficients: np.ndarray
@@ -114,8 +114,7 @@ class PointerMixture:
         shifts.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "shifts", shifts)
-        weights, kernel = _overlap_weights(coeffs, [shifts], [self.delta])
-        for name, arr in (("_weights", weights), ("_kernel", kernel),
+        for name, arr in (("_weights", _overlap_weights(coeffs, [shifts], [self.delta])),
                           ("_mid", np.add.outer(shifts, shifts) / 2.0)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -152,11 +151,9 @@ def position_mean(m: PointerMixture) -> float:
 
 
 def position_variance(m: PointerMixture) -> float:
-    w, mid = m._weights, m._mid
-    total = w.sum()
-    mean = (w * mid).sum() / total
-    second = (w * (mid**2 + m.delta**2 / 4.0)).sum() / total
-    return float(second - mean**2)
+    w = m._weights
+    second = (w * (m._mid**2 + m.delta**2 / 4.0)).sum() / w.sum()
+    return float(second - position_mean(m) ** 2)
 
 
 def position_cdf(m: PointerMixture, x: np.ndarray) -> np.ndarray:
@@ -186,7 +183,8 @@ def momentum_mean(m: PointerMixture) -> float:
     """
     s = m.shifts
     cpair = np.outer(m.coefficients.conj(), m.coefficients)
-    num = (np.imag(cpair) * (-np.subtract.outer(s, s)) * m._kernel).sum()
+    kernel = np.exp(-np.subtract.outer(s, s) ** 2 / (2.0 * m.delta**2))
+    num = (np.imag(cpair) * (-np.subtract.outer(s, s)) * kernel).sum()
     return float(num / (m.delta**2 * m._weights.sum()))
 
 
@@ -358,6 +356,6 @@ def simultaneous(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]
         rows, branches = rows[live], branches[live]
     shifts = [spec.g * np.array(spec.observable.eigenvalues)[branches[:, m]]
               for m, spec in enumerate(specs)]
-    w, _ = _overlap_weights(rows @ ens.pre.amplitudes, shifts, [s.delta for s in specs])
+    w = _overlap_weights(rows @ ens.pre.amplitudes, shifts, [s.delta for s in specs])
     total = w.sum()
     return [float((w * (np.add.outer(s, s) / 2.0)).sum() / total) for s in shifts]

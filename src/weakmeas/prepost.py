@@ -61,18 +61,13 @@ class PrePostEnsemble:
 
 @dataclass(frozen=True)
 class WeakValue:
-    """A complex weak value tagged with the observable it belongs to."""
+    """A complex weak value A_w."""
 
     value: complex
-    observable: str | None = None
 
     @property
     def real(self) -> float:
         return self.value.real
-
-    @property
-    def imag(self) -> float:
-        return self.value.imag
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,9 @@ class AblDistribution:
 
     def __post_init__(self):
         total = sum(p for _, p in self.entries)
-        if any(p < -1e-12 for _, p in self.entries) or abs(total - 1.0) > 1e-12:
+        # NaN fails every comparison, so the checks read not (x <= tol)
+        if (any(not (p >= -1e-12) for _, p in self.entries)
+                or not (abs(total - 1.0) <= 1e-12)):
             raise ValueError("probabilities must be nonnegative and sum to 1")
 
     def probability(self, eigenvalue: float, tol: float = 1e-9) -> float:
@@ -106,7 +103,7 @@ def weak_value(a: Observable, ens: PrePostEnsemble) -> WeakValue:
     """<post|A|pre> / <post|pre>; generally complex, possibly outside the spectrum."""
     check_dimensions(a, ens)
     num = np.vdot(ens.post.amplitudes, a.matrix @ ens.pre.amplitudes)
-    return WeakValue(complex(num / ens.overlap), observable=a.name)
+    return WeakValue(complex(num / ens.overlap))
 
 
 def postselection_probability(ens: PrePostEnsemble) -> float:
@@ -135,16 +132,16 @@ def abl_probabilities(a: Observable, ens: PrePostEnsemble) -> AblDistribution:
     return AblDistribution(tuple(zip(a.eigenvalues, (float(p) for p in probs))))
 
 
-def certainty_check(a: Observable, ens: PrePostEnsemble,
-                    tol: float = CERTAINTY_TOL) -> float | None:
+def certainty_check(a: Observable, ens: PrePostEnsemble) -> float | None:
     """Return the eigenvalue found with conditional certainty, if any.
 
     Certainty is judged on the ABL probability alone: an outcome is certain
-    when its probability is within ``tol`` of 1.  Exact certainty pins the
-    weak value to that eigenvalue, but within ``tol`` on the probability the
-    weak value may still differ from it by about sqrt(tol).
+    when its probability is within ``CERTAINTY_TOL`` of 1.  Exact certainty
+    pins the weak value to that eigenvalue, but within ``CERTAINTY_TOL`` on
+    the probability the weak value may still differ from it by about
+    sqrt(CERTAINTY_TOL).
     """
     for eig, p in abl_probabilities(a, ens).entries:
-        if abs(p - 1.0) <= tol:
+        if abs(p - 1.0) <= CERTAINTY_TOL:
             return eig
     return None

@@ -12,7 +12,7 @@ absolute; degenerate eigenvalues are grouped at 1e-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -92,7 +92,6 @@ class Observable:
     matrix: np.ndarray
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
-    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         mat = _frozen(np.asarray(self.matrix))
@@ -102,47 +101,45 @@ class Observable:
         except ValueError:  # a ragged family: its (k, 0) stand-in fails the shape check
             stack = np.empty((len(self.projectors), 0))
         _check_families(mat[None], np.array([evals]), stack[None])
-        self._set(mat, evals, tuple(stack), self.name)
+        self._set(mat, evals, tuple(stack))
 
-    def _set(self, matrix, eigenvalues, projectors, name) -> None:
+    def _set(self, matrix, eigenvalues, projectors) -> None:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "projectors", projectors)
-        object.__setattr__(self, "name", name)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_projectors(cls, eigenvalues, projectors, name: str | None = None) -> "Observable":
+    def from_projectors(cls, eigenvalues, projectors) -> "Observable":
         """Build constructively from an eigenvalue/projector family."""
         pairs = _group_eigenpairs(eigenvalues, [np.asarray(p, dtype=complex) for p in projectors])
         evals = tuple(a for a, _ in pairs)
         projs = tuple(p for _, p in pairs)
         mat = sum(a * p for a, p in pairs)
-        return cls(mat, evals, projs, name=name)
+        return cls(mat, evals, projs)
 
     @classmethod
-    def diagonal(cls, entries, name: str | None = None) -> "Observable":
+    def diagonal(cls, entries) -> "Observable":
         """Observable diagonal in the computational basis; entries are grouped as in
         ``from_projectors``, each contributing its basis projector."""
         entries = np.asarray(entries, dtype=float).reshape(-1)
-        return cls.from_projectors(entries, [np.diag(row) for row in np.eye(entries.size)],
-                                   name=name)
+        return cls.from_projectors(entries, [np.diag(row) for row in np.eye(entries.size)])
 
     @classmethod
-    def from_matrix(cls, matrix, name: str | None = None) -> "Observable":
+    def from_matrix(cls, matrix) -> "Observable":
         """Build via a general Hermitian eigensolver.
 
         Only needed off the constructive paths (random observables, the
         simultaneous-measurement verification route); eigenvalues within
         1e-10 of each other share one projector.
         """
-        return cls._from_matrices(np.asarray(matrix, dtype=complex)[None], name)[0]
+        return cls._from_matrices(np.asarray(matrix, dtype=complex)[None])[0]
 
     @classmethod
-    def _from_matrices(cls, matrices, name: str | None = None) -> list["Observable"]:
+    def _from_matrices(cls, matrices) -> list["Observable"]:
         """``from_matrix`` of each matrix of an (n, d, d) stack, in order.
 
         One stacked eigensolve; the members that group their eigenvalues alike
@@ -158,7 +155,7 @@ class Observable:
             raise ValueError("matrix is not Hermitian within 1e-12")
         evals, vecs = np.linalg.eigh(mats)
         if (evals[:, 1:] - evals[:, :-1]).min(initial=np.inf) > EIG_GROUP_TOL:
-            return cls._from_eigh(mats, evals, vecs, None, name)
+            return cls._from_eigh(mats, evals, vecs, None)
         # two adjacent eigenvalues within the tolerance: group every member on
         # its own, and build the members that group alike together
         out: list = [None] * len(mats)
@@ -166,13 +163,13 @@ class Observable:
         for m, values in enumerate(evals.tolist()):
             batches.setdefault(_groups(values), []).append(m)
         for groups, members in batches.items():
-            built = cls._from_eigh(mats[members], evals[members], vecs[members], groups, name)
+            built = cls._from_eigh(mats[members], evals[members], vecs[members], groups)
             for m, obs in zip(members, built):
                 out[m] = obs
         return out
 
     @classmethod
-    def _from_eigh(cls, mats, evals, vecs, groups, name) -> list["Observable"]:
+    def _from_eigh(cls, mats, evals, vecs, groups) -> list["Observable"]:
         """The observables of one stacked eigensolve whose members all group
         their eigenvalues as ``groups`` ([lo, hi) ranges; None: one projector
         per eigenvalue), with the per-matrix arithmetic of ``from_matrix``."""
@@ -201,12 +198,8 @@ class Observable:
         _check_families(recon, evals, stack)
         out = [object.__new__(cls) for _ in range(len(mats))]
         for obs, mat, row, family in zip(out, recon, evals.tolist(), stack):
-            obs._set(mat, tuple(row), tuple(family), name)
+            obs._set(mat, tuple(row), tuple(family))
         return out
-
-    @classmethod
-    def identity(cls, dim: int, name: str | None = None) -> "Observable":
-        return cls(np.eye(dim, dtype=complex), (1.0,), (np.eye(dim, dtype=complex),), name=name)
 
 
 def _check_families(mat: np.ndarray, evals: np.ndarray, stack: np.ndarray) -> None:
@@ -292,23 +285,3 @@ def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     _check_same_dim(a.dim, b.dim, "inner")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def projector(s: StateVector) -> Observable:
-    """Rank-1 projector |s><s| as an observable with eigenvalues {0, 1}."""
-    if not s.is_normalized:
-        raise ValueError("projector requires a normalized state")
-    p = np.outer(s.amplitudes, s.amplitudes.conj())
-    if s.dim == 1:
-        return Observable(p, (1.0,), (p,))
-    comp = np.eye(s.dim, dtype=complex) - p
-    return Observable(p, (0.0, 1.0), (comp, p))
-
-
-def op_tensor(a: Observable, b: Observable) -> Observable:
-    """Tensor product of observables; eigenvalue products may merge."""
-    pairs = []
-    for av, ap in zip(a.eigenvalues, a.projectors):
-        for bv, bp in zip(b.eigenvalues, b.projectors):
-            pairs.append((av * bv, np.kron(ap, bp)))
-    return Observable.from_projectors([v for v, _ in pairs], [p for _, p in pairs])

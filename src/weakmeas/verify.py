@@ -280,8 +280,8 @@ def check_simultaneous() -> tuple[bool, str]:
     pre = StateVector(np.array([np.cos(0.3), np.sin(0.3)], dtype=complex))
     post = StateVector(np.array([np.cos(1.1), np.sin(1.1)], dtype=complex))
     ens = prepost.PrePostEnsemble(pre, post)
-    a = Observable.from_matrix(np.diag([0.0, 1.0]).astype(complex), name="excited")
-    b = Observable.from_matrix(np.full((2, 2), 0.5, dtype=complex), name="plus")
+    a = Observable.from_matrix(np.diag([0.0, 1.0]).astype(complex))
+    b = Observable.from_matrix(np.full((2, 2), 0.5, dtype=complex))
     specs2 = [pointer.CouplingSpec(a, g=g, delta=1.0),
               pointer.CouplingSpec(b, g=g, delta=1.0)]
     pair_means = pointer.simultaneous(ens, specs2)

@@ -4,11 +4,39 @@
 time, and ``pairwise_from_matrix`` the eigensolver route one matrix at a
 time.  The stacked checks and the batched build in ``qcore`` must agree
 with them: same verdicts, same messages, bit-identical arrays.
+
+``identity``, ``projector`` and ``op_tensor`` build observables the
+constructive way (identity, rank-1 projector, tensor product of spectral
+families); the tests use them as independent routes to known operators.
 """
 
 import numpy as np
 
-from weakmeas.qcore import ATOL, EIG_GROUP_TOL
+from weakmeas.qcore import ATOL, EIG_GROUP_TOL, Observable, StateVector
+
+
+def identity(dim: int) -> Observable:
+    return Observable(np.eye(dim, dtype=complex), (1.0,), (np.eye(dim, dtype=complex),))
+
+
+def projector(s: StateVector) -> Observable:
+    """Rank-1 projector |s><s| as an observable with eigenvalues {0, 1}."""
+    if not s.is_normalized:
+        raise ValueError("projector requires a normalized state")
+    p = np.outer(s.amplitudes, s.amplitudes.conj())
+    if s.dim == 1:
+        return Observable(p, (1.0,), (p,))
+    comp = np.eye(s.dim, dtype=complex) - p
+    return Observable(p, (0.0, 1.0), (comp, p))
+
+
+def op_tensor(a: Observable, b: Observable) -> Observable:
+    """Tensor product of observables; eigenvalue products may merge."""
+    pairs = []
+    for av, ap in zip(a.eigenvalues, a.projectors):
+        for bv, bp in zip(b.eigenvalues, b.projectors):
+            pairs.append((av * bv, np.kron(ap, bp)))
+    return Observable.from_projectors([v for v, _ in pairs], [p for _, p in pairs])
 
 
 def pairwise_validate(matrix, eigenvalues, projectors) -> None:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
+from spectral_oracle import identity
 
 from weakmeas import collective, pointer
 from weakmeas.collective import (
@@ -81,7 +82,7 @@ def tensor_power_mixture(scenario, name, n, g, delta):
 class TestSpec:
     def test_requires_two_eigenvalues(self, scenario):
         with pytest.raises(ValueError, match="two distinct"):
-            CollectiveSpec(scenario.ensemble, Observable.identity(4),
+            CollectiveSpec(scenario.ensemble, identity(4),
                            n_pairs=2, g=1.0, delta=1.0)
 
     def test_rejects_negative_pairs(self, scenario):
@@ -314,6 +315,21 @@ class TestQuadratureLimits:
             collective_pointer_stats(spec)
         with pytest.raises(QuadratureError):
             density_grid(spec)
+
+    def test_nan_coarse_mean_raises(self, scenario, monkeypatch):
+        # a NaN mean from every second point must fail the step-halving check
+        moments, seen = collective._moments, []
+
+        def nan_coarse(weight, lq):
+            mean, var = moments(weight, lq)
+            if seen:  # the second call is the coarse one
+                return float("nan"), var
+            seen.append(mean)
+            return mean, var
+
+        monkeypatch.setattr(collective, "_moments", nan_coarse)
+        with pytest.raises(QuadratureError, match="unresolved"):
+            collective_pointer_stats(make_spec(scenario, n=25))
 
 
 amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)

