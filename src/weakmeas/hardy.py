@@ -14,8 +14,9 @@ name: four single-particle projectors and four pair products,
     N_minus_X  - electron in arm X            N_plus_X  - positron in arm X
     N_pair_X_Y - positron in arm X and electron in arm Y (product operator).
 
-Each is built from one arm table as the diagonal observable that is 1
-exactly on the arm products its arm condition allows, and 0 elsewhere.
+Each is the diagonal observable, read off one arm table, that is 1 exactly
+on the arm products its arm condition allows and 0 elsewhere; the eight are
+built as one stacked eigensolve, ``Observable._from_matrices``.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ def build() -> HardyScenario:
     postselected = tensor(_PORTS["D"], _PORTS["D"])
 
     # each observable is 1 exactly on the arm products its arms allow
-    observables = {
-        name: Observable.diagonal(
-            [float(arm_p in (None, p) and arm_e in (None, e)) for p in ARMS for e in ARMS])
-        for name, (arm_p, arm_e) in _ARMS_OF.items()}
+    indicators = [np.diag([float(arm_p in (None, p) and arm_e in (None, e))
+                           for p in ARMS for e in ARMS])
+                  for arm_p, arm_e in _ARMS_OF.values()]
+    observables = dict(zip(_ARMS_OF, Observable._from_matrices(indicators)))
 
     scenario = HardyScenario(
         initial=initial,

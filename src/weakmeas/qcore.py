@@ -2,12 +2,15 @@
 
 States are amplitude vectors over a labeled computational basis, observables
 are Hermitian matrices carrying their spectral decomposition (eigenvalues and
-orthogonal projectors).  Everything is immutable after construction and all
-spaces in scope are tiny (dim <= 16), so plain dense numpy arrays are used
-throughout.
+orthogonal projectors).  Every observable the package builds comes from one
+route, the stacked Hermitian eigensolve of ``Observable._from_matrices``
+(``from_matrix`` is its stack of one).  Everything is immutable after
+construction and all spaces in scope are tiny (dim <= 16), so plain dense
+numpy arrays are used throughout.
 
 Tolerances: Hermiticity and spectral identities are enforced at 1e-12
-absolute; degenerate eigenvalues are grouped at 1e-10.
+absolute; degenerate eigenvalues are grouped at 1e-10, and a group's mean
+stands for it.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ class StateVector:
 
     def normalized(self) -> "StateVector":
         n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < n < np.inf:  # a zero, infinite or NaN norm
+            raise ValueError(f"cannot normalize a vector of norm {n}")
         return StateVector(self.amplitudes / n, self.labels)
 
     def amplitude(self, label: str) -> complex:
@@ -113,29 +116,10 @@ class Observable:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_projectors(cls, eigenvalues, projectors) -> "Observable":
-        """Build constructively from an eigenvalue/projector family."""
-        pairs = _group_eigenpairs(eigenvalues, [np.asarray(p, dtype=complex) for p in projectors])
-        evals = tuple(a for a, _ in pairs)
-        projs = tuple(p for _, p in pairs)
-        mat = sum(a * p for a, p in pairs)
-        return cls(mat, evals, projs)
-
-    @classmethod
-    def diagonal(cls, entries) -> "Observable":
-        """Observable diagonal in the computational basis; entries are grouped as in
-        ``from_projectors``, each contributing its basis projector."""
-        entries = np.asarray(entries, dtype=float).reshape(-1)
-        return cls.from_projectors(entries, [np.diag(row) for row in np.eye(entries.size)])
-
-    @classmethod
     def from_matrix(cls, matrix) -> "Observable":
-        """Build via a general Hermitian eigensolver.
-
-        Only needed off the constructive paths (random observables, the
-        simultaneous-measurement verification route); eigenvalues within
-        1e-10 of each other share one projector.
-        """
+        """Build via a general Hermitian eigensolver; eigenvalues within 1e-10
+        of their group's first share one projector, and the group's mean
+        stands for them."""
         return cls._from_matrices(np.asarray(matrix, dtype=complex)[None])[0]
 
     @classmethod
@@ -147,12 +131,7 @@ class Observable:
         as one batch, with the per-matrix arithmetic of ``from_matrix``.
         """
         mats = np.asarray(matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError("observable matrix must be square")
-        if not np.isfinite(mats).all():
-            raise ValueError("matrix is not finite")
-        if not np.abs(mats - mats.conj().transpose(0, 2, 1)).max() <= ATOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
+        _check_matrices(mats)
         evals, vecs = np.linalg.eigh(mats)
         if (evals[:, 1:] - evals[:, :-1]).min(initial=np.inf) > EIG_GROUP_TOL:
             return cls._from_eigh(mats, evals, vecs, None)
@@ -202,6 +181,21 @@ class Observable:
         return out
 
 
+def _check_matrices(mat: np.ndarray) -> None:
+    """Check an (n, d, d) stack of observable matrices: square, d >= 1,
+    finite and Hermitian."""
+    if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
+        raise ValueError("observable matrix must be square")
+    if not mat.shape[1]:
+        raise ValueError("observable matrix must have positive dimension")
+    # NaN fails every comparison, so the checks here and in _check_families
+    # read not (deviation <= tol): a NaN eigenvalue or projector fails them too
+    if not np.isfinite(mat).all():
+        raise ValueError("observable matrix is not finite")
+    if not np.abs(mat - mat.conj().transpose(0, 2, 1)).max() <= ATOL:
+        raise ValueError("observable matrix is not Hermitian within 1e-12")
+
+
 def _check_families(mat: np.ndarray, evals: np.ndarray, stack: np.ndarray) -> None:
     """Check a batch of spectral families, member m being (mat[m], evals[m],
     stack[m]) of shapes (d, d), (k,) and (k, d, d).
@@ -210,14 +204,7 @@ def _check_families(mat: np.ndarray, evals: np.ndarray, stack: np.ndarray) -> No
     batch with one bad member fails as that member would alone.  A shape
     fault is one of the whole batch, since the batch is one array.
     """
-    if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
-        raise ValueError("observable matrix must be square")
-    # NaN fails every comparison, so the checks below read
-    # not (deviation <= tol): a NaN eigenvalue or projector fails them too
-    if not np.isfinite(mat).all():
-        raise ValueError("observable matrix is not finite")
-    if not np.abs(mat - mat.conj().transpose(0, 2, 1)).max() <= ATOL:
-        raise ValueError("observable matrix is not Hermitian within 1e-12")
+    _check_matrices(mat)
     n, k = evals.shape
     if stack.shape[1] != k or not k:
         raise ValueError("need one projector per eigenvalue")
@@ -259,14 +246,6 @@ def _groups(values: list[float]) -> tuple[tuple[int, int], ...]:
         out.append((k, j + 1))
         k = j + 1
     return tuple(out)
-
-
-def _group_eigenpairs(eigenvalues, projectors):
-    """(first value, projector sum) of each ``_groups`` range of the sorted values."""
-    order = np.argsort(np.asarray(eigenvalues, dtype=float))
-    values = [float(eigenvalues[i]) for i in order]
-    return [(values[lo], sum((projectors[i] for i in order[lo + 1:hi]), projectors[order[lo]]))
-            for lo, hi in _groups(values)]
 
 
 def _check_same_dim(a_dim: int, b_dim: int, what: str) -> None:

@@ -5,14 +5,42 @@ time, and ``pairwise_from_matrix`` the eigensolver route one matrix at a
 time.  The stacked checks and the batched build in ``qcore`` must agree
 with them: same verdicts, same messages, bit-identical arrays.
 
-``identity``, ``projector`` and ``op_tensor`` build observables the
-constructive way (identity, rank-1 projector, tensor product of spectral
-families); the tests use them as independent routes to known operators.
+``from_projectors``, ``diagonal``, ``identity``, ``projector`` and
+``op_tensor`` build observables the constructive way (from an
+eigenvalue/projector family, a diagonal, the identity, a rank-1 projector,
+a tensor product of spectral families); the tests use them as independent
+routes to known operators.  ``from_projectors`` groups eigenvalues within
+EIG_GROUP_TOL of their group's first and keeps that first value, where the
+eigensolver route keeps the group's mean: the two agree on exact ties.
 """
 
 import numpy as np
 
 from weakmeas.qcore import ATOL, EIG_GROUP_TOL, Observable, StateVector
+
+
+def from_projectors(eigenvalues, projectors) -> Observable:
+    """Build constructively from an eigenvalue/projector family."""
+    order = np.argsort(np.asarray(eigenvalues, dtype=float))
+    values = [float(eigenvalues[i]) for i in order]
+    projs = [np.asarray(projectors[i], dtype=complex) for i in order]
+    pairs = []
+    k = 0
+    while k < len(values):
+        j = k
+        while j + 1 < len(values) and values[j + 1] - values[k] <= EIG_GROUP_TOL:
+            j += 1
+        pairs.append((values[k], sum(projs[k + 1:j + 1], projs[k])))
+        k = j + 1
+    mat = sum(a * p for a, p in pairs)
+    return Observable(mat, tuple(a for a, _ in pairs), tuple(p for _, p in pairs))
+
+
+def diagonal(entries) -> Observable:
+    """Observable diagonal in the computational basis, each entry contributing
+    its basis projector to ``from_projectors``."""
+    entries = np.asarray(entries, dtype=float).reshape(-1)
+    return from_projectors(entries, [np.diag(row) for row in np.eye(entries.size)])
 
 
 def identity(dim: int) -> Observable:
@@ -36,7 +64,7 @@ def op_tensor(a: Observable, b: Observable) -> Observable:
     for av, ap in zip(a.eigenvalues, a.projectors):
         for bv, bp in zip(b.eigenvalues, b.projectors):
             pairs.append((av * bv, np.kron(ap, bp)))
-    return Observable.from_projectors([v for v, _ in pairs], [p for _, p in pairs])
+    return from_projectors([v for v, _ in pairs], [p for _, p in pairs])
 
 
 def pairwise_validate(matrix, eigenvalues, projectors) -> None:

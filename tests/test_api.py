@@ -68,3 +68,14 @@ def test_value_type_fields():
 
 def test_certainty_check_has_no_tolerance_knob():
     assert list(inspect.signature(certainty_check).parameters) == ["a", "ens"]
+
+
+def test_observable_has_one_public_constructor():
+    public = tuple(name for name, attr in vars(weakmeas.Observable).items()
+                   if isinstance(attr, classmethod) and not name.startswith("_"))
+    assert public == ("from_matrix",)
+
+
+def test_abl_probability_has_no_tolerance_knob():
+    params = inspect.signature(weakmeas.AblDistribution.probability).parameters
+    assert list(params) == ["self", "eigenvalue"]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
-from spectral_oracle import identity
+from spectral_oracle import diagonal, identity
 
 from weakmeas import collective, pointer
 from weakmeas.collective import (
@@ -95,7 +95,7 @@ class TestSpec:
 
     def test_dimension_mismatch_has_one_error_class(self, scenario):
         # a WeakMeasError (exit 3) from every entry point, not a plain ValueError from some
-        two = Observable.diagonal([0, 1])
+        two = diagonal([0, 1])
         message = "observable dim 2 != ensemble dim 4"
         with pytest.raises(DimensionMismatchError, match=message):
             CollectiveSpec(scenario.ensemble, two, n_pairs=2, g=0.05, delta=1.0)
@@ -180,7 +180,7 @@ class TestPointerStats:
         # literal eigenstate selections make one branch exactly zero
         pre = StateVector(np.array([0, 1], dtype=complex))
         ens = PrePostEnsemble(pre, pre)
-        spec = CollectiveSpec(ens, Observable.diagonal([0.0, 1.0]),
+        spec = CollectiveSpec(ens, diagonal([0.0, 1.0]),
                               n_pairs=8, g=0.5, delta=3.0)
         stats = collective_pointer_stats(spec)
         assert stats.mean == pytest.approx(4.0, abs=1e-15)
@@ -224,7 +224,7 @@ class TestPointerStats:
     def test_shifted_eigenvalues(self):
         # nothing assumes a zero lower eigenvalue
         ens = PrePostEnsemble(normalized(1, 1), normalized(3, -1))
-        spec = CollectiveSpec(ens, Observable.diagonal([2.0, 5.0]),
+        spec = CollectiveSpec(ens, diagonal([2.0, 5.0]),
                               n_pairs=4, g=0.07, delta=1.3)
         stats = collective_pointer_stats(spec)
         pm = binomial_mixture(spec)
@@ -273,14 +273,14 @@ class TestAgainstMpmathOracle:
 
     def test_complex_amplitudes(self):
         ens = PrePostEnsemble(normalized(1, 0.4 + 0.7j), normalized(0.8 - 0.3j, -0.5 + 0.2j))
-        spec = CollectiveSpec(ens, Observable.diagonal([0.0, 1.0]),
+        spec = CollectiveSpec(ens, diagonal([0.0, 1.0]),
                               n_pairs=60, g=1.0, delta=5.0 * sqrt(60))
         assert spec.alphas[0].imag != 0.0
         assert_matches_oracle(spec)
 
     def test_shifted_eigenvalues(self):
         ens = PrePostEnsemble(normalized(1, 1), normalized(3, -1))
-        assert_matches_oracle(CollectiveSpec(ens, Observable.diagonal([2.0, 5.0]),
+        assert_matches_oracle(CollectiveSpec(ens, diagonal([2.0, 5.0]),
                                              n_pairs=40, g=0.07, delta=1.3))
 
     def test_strong_single_pair_and_near_dead_branch(self, scenario):
@@ -348,7 +348,7 @@ def two_level_specs(draw):
     a0 = draw(st.floats(-3.0, 3.0))
     a1 = a0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 3.0))
     return CollectiveSpec(PrePostEnsemble(StateVector(pre), StateVector(post)),
-                          Observable.diagonal([a0, a1]), n_pairs=1,
+                          diagonal([a0, a1]), n_pairs=1,
                           g=draw(st.floats(0.01, 2.0)), delta=draw(st.floats(0.1, 3.0)))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from spectral_oracle import identity, op_tensor, projector
+from spectral_oracle import diagonal, identity, op_tensor, projector
 
 from weakmeas import hardy
 from weakmeas.errors import DegenerateEnsembleError
@@ -70,7 +70,7 @@ class TestBuild:
         for p_arm in hardy.ARMS:
             for e_arm in hardy.ARMS:
                 prod = oracle[f"N_plus_{p_arm}"].matrix @ oracle[f"N_minus_{e_arm}"].matrix
-                oracle[f"N_pair_{p_arm}_{e_arm}"] = Observable.diagonal(np.real(np.diag(prod)))
+                oracle[f"N_pair_{p_arm}_{e_arm}"] = diagonal(np.real(np.diag(prod)))
         assert list(scenario.observables) == list(hardy.OBSERVABLE_ORDER)
         for name in hardy.OBSERVABLE_ORDER:
             got, want = scenario.observable(name), oracle[name]

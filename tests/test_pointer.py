@@ -16,6 +16,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import trapezoid
+from spectral_oracle import diagonal
 
 from weakmeas import hardy
 from weakmeas.errors import (
@@ -225,7 +226,7 @@ class TestMixture:
 
     def test_eigenstate_selection_single_term(self):
         ens = PrePostEnsemble(qubit_state(0, 1), qubit_state(0, 1))
-        m = mixture(ens, CouplingSpec(Observable.diagonal([0.0, 1.0]), g=0.3, delta=1.0))
+        m = mixture(ens, CouplingSpec(diagonal([0.0, 1.0]), g=0.3, delta=1.0))
         assert m.coefficients[0] == pytest.approx(0.0, abs=1e-15)
         assert position_mean(m) == pytest.approx(0.3, abs=1e-15)
 
@@ -299,7 +300,7 @@ class TestPositionMean:
             mixture(scenario.ensemble,
                     CouplingSpec(scenario.observable("N_pair_NO_NO"), g=0.4, delta=1.0)),
             mixture(complex_ensemble,
-                    CouplingSpec(Observable.diagonal([0.0, 1.0]), g=0.8, delta=0.6)),
+                    CouplingSpec(diagonal([0.0, 1.0]), g=0.8, delta=0.6)),
         ]
         for m in cases:
             assert position_mean(m) == pytest.approx(quadrature_mean(m), abs=1e-8)
@@ -317,18 +318,18 @@ class TestMomentumMean:
 
     def test_eigenstate_zero(self):
         ens = PrePostEnsemble(qubit_state(0, 1), qubit_state(0, 1))
-        m = mixture(ens, CouplingSpec(Observable.diagonal([0.0, 1.0]), g=0.3, delta=1.0))
+        m = mixture(ens, CouplingSpec(diagonal([0.0, 1.0]), g=0.3, delta=1.0))
         assert momentum_mean(m) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_fourier_grid_oracle(self, complex_ensemble):
         for g, delta in ((0.01, 1.0), (0.3, 0.8)):
             m = mixture(complex_ensemble,
-                        CouplingSpec(Observable.diagonal([0.0, 1.0]), g=g, delta=delta))
+                        CouplingSpec(diagonal([0.0, 1.0]), g=g, delta=delta))
             assert momentum_mean(m) == pytest.approx(fft_momentum_mean(m), abs=1e-9)
 
     def test_weak_limit_proportionality_constant(self, complex_ensemble):
         # regression for the frozen constant: <P> -> 2 g Im(A_w) / delta^2
-        obs = Observable.diagonal([0.0, 1.0])
+        obs = diagonal([0.0, 1.0])
         aw = weak_value(obs, complex_ensemble).value
         g, delta = 1e-4, 1.0
         m = mixture(complex_ensemble, CouplingSpec(obs, g=g, delta=delta))
@@ -469,7 +470,7 @@ class TestSamplerAgainstInterp:
         assert _inverse_cdf(grid, cdf)(u).tobytes() == np.interp(u, cdf, grid).tobytes()
 
     def test_complex_coefficients(self, complex_ensemble):
-        obs = Observable.diagonal([0.0, 1.0])
+        obs = diagonal([0.0, 1.0])
         m = mixture(complex_ensemble, CouplingSpec(obs, g=0.3, delta=0.7))
         _, _, expected = interp_oracle(m, 20_000, seed=4)
         assert sample(m, 20_000, seed=4).readings.tobytes() == expected.tobytes()
@@ -608,7 +609,7 @@ def couplings(draw):
     pre = StateVector(pre / np.linalg.norm(pre))
     post = StateVector(post / np.linalg.norm(post))
     assume(abs(inner(post, pre)) >= 0.2)
-    obs = Observable.diagonal(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
+    obs = diagonal(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
     return (PrePostEnsemble(pre, post), obs,
             draw(st.floats(0.01, 3.0)), draw(st.floats(0.2, 3.0)))
 

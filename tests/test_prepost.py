@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from spectral_oracle import identity
+from spectral_oracle import diagonal, identity
 
 from weakmeas.errors import DegenerateEnsembleError, DimensionMismatchError
 from weakmeas.prepost import (
@@ -84,10 +84,10 @@ class TestWeakValue:
         # both selections real but nearly orthogonal: weak value blows past [0, 1]
         theta = 0.05
         ens = PrePostEnsemble(state(1, 1), state(np.sin(theta), -np.cos(theta)))
-        wv = weak_value(Observable.diagonal([0.0, 1.0]), ens).value
+        wv = weak_value(diagonal([0.0, 1.0]), ens).value
         assert wv.real < 0.0 or wv.real > 1.0
         ens_c = PrePostEnsemble(state(1, 1), state(1, 1j))
-        assert abs(weak_value(Observable.diagonal([0.0, 1.0]), ens_c).value.imag) > 0.1
+        assert abs(weak_value(diagonal([0.0, 1.0]), ens_c).value.imag) > 0.1
 
     @given(st.integers(0, 2**32 - 1))
     def test_additivity_rule(self, seed):
@@ -162,22 +162,22 @@ class TestCertainty:
     def test_eigenstate_preselection_certain(self):
         # pre-selected in an eigenstate: the ideal outcome is forced
         ens = PrePostEnsemble(state(1, 0), state(1, 1))
-        obs = Observable.diagonal([0.0, 1.0])
+        obs = diagonal([0.0, 1.0])
         assert certainty_check(obs, ens) == pytest.approx(0.0, abs=1e-12)
         assert weak_value(obs, ens).value == pytest.approx(0.0, abs=1e-12)
 
     def test_uncertain_returns_none(self):
         ens = PrePostEnsemble(state(1, 1), state(2, 1))
-        dist = abl_probabilities(Observable.diagonal([0.0, 1.0]), ens)
+        dist = abl_probabilities(diagonal([0.0, 1.0]), ens)
         assert dist.probability(0.0) == pytest.approx(0.8, abs=1e-12)
-        assert certainty_check(Observable.diagonal([0.0, 1.0]), ens) is None
+        assert certainty_check(diagonal([0.0, 1.0]), ens) is None
 
     def test_certainty_within_tolerance_does_not_raise(self):
         # p(1) = 1 - 1e-12 counts as certain, yet the weak value is 0.999999:
         # near-certainty pins the weak value only to about sqrt(tol)
         ens = PrePostEnsemble(state(np.cos(np.pi / 4), np.sin(np.pi / 4)),
                               StateVector(np.array([1e-6, np.sqrt(1.0 - 1e-12)])))
-        obs = Observable.diagonal([0.0, 1.0])
+        obs = diagonal([0.0, 1.0])
         assert abl_probabilities(obs, ens).probability(1.0) == pytest.approx(
             1.0 - 1e-12, abs=1e-15)
         assert certainty_check(obs, ens) == 1.0
@@ -188,7 +188,7 @@ class TestCertainty:
         # the weak value must then sit at that eigenvalue
         rng = np.random.default_rng(9)
         for _ in range(50):
-            obs = Observable.diagonal([0.0, 1.0, 1.0])
+            obs = diagonal([0.0, 1.0, 1.0])
             pre = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             pre[0] = rng.standard_normal() + 0.5  # keep overlap with the a=0 branch
             post = np.zeros(3, dtype=complex)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from spectral_oracle import (
+    diagonal,
+    from_projectors,
     identity,
     op_tensor,
     pairwise_from_matrix,
@@ -62,6 +64,12 @@ class TestStateVector:
         s = StateVector(np.array([3, 4], dtype=complex)).normalized()
         assert s.is_normalized
         np.testing.assert_allclose(s.amplitudes, [0.6, 0.8])
+
+    @pytest.mark.parametrize("amps, norm", [
+        ([np.nan, 1.0], "nan"), ([np.inf, 0.0], "inf"), ([0.0, 0.0], "0.0")])
+    def test_normalize_rejects_zero_and_non_finite_norm(self, amps, norm):
+        with pytest.raises(ValueError, match=f"^cannot normalize a vector of norm {norm}$"):
+            StateVector(np.array(amps, dtype=complex)).normalized()
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -149,11 +157,11 @@ class TestObservable:
 
     def test_hardy_expectation(self):
         # electron-in-O occupation: one amplitude of the pre-selected state squared
-        n_minus_o = Observable.diagonal([0, 1, 0, 1])
+        n_minus_o = diagonal([0, 1, 0, 1])
         assert expectation(n_minus_o, hardy_pre()) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_apply_then_inner_matches_branch_amplitude(self):
-        obs = Observable.diagonal([0, 1, 0, 1])
+        obs = diagonal([0, 1, 0, 1])
         pre, post = hardy_pre(), hardy_post()
         via_ops = inner(post, apply(_eigproj(obs, 1.0), pre))
         direct = sum(np.conj(post.amplitudes[k]) * pre.amplitudes[k] for k in (1, 3))
@@ -183,6 +191,13 @@ class TestObservable:
         with pytest.raises(ValueError, match="observable matrix must be square"):
             Observable.from_matrix(matrix)
 
+    def test_rejects_zero_dimension(self):
+        message = "^observable matrix must have positive dimension$"
+        with pytest.raises(ValueError, match=message):
+            Observable.from_matrix(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=message):
+            Observable(np.zeros((0, 0)), (), ())
+
     def test_degenerate_grouping(self):
         obs = Observable.from_matrix(np.diag([1.0, 1.0 + 1e-12, 3.0]).astype(complex))
         assert len(obs.eigenvalues) == 2
@@ -194,12 +209,35 @@ class TestObservable:
     def test_diagonal_groups_near_degenerate_entries(self, entries, groups):
         # grouped as from_projectors groups them; these used to fail the
         # reconstruction and completeness checks
-        obs = Observable.diagonal(entries)
-        ref = Observable.from_projectors(entries, [np.diag(row) for row in np.eye(3)])
+        obs = diagonal(entries)
+        ref = from_projectors(entries, [np.diag(row) for row in np.eye(3)])
         assert obs.eigenvalues == tuple(a for a, _ in groups) == ref.eigenvalues
         for p, (_, diag) in zip(obs.projectors, groups):
             np.testing.assert_array_equal(p, np.diag(diag))
         np.testing.assert_array_equal(obs.matrix, ref.matrix)
+        # the eigensolver route groups the same members, and the group's mean
+        # stands for it where the constructive route keeps the first value
+        solved = Observable.from_matrix(np.diag(entries))
+        means = {5e-11: (2.5e-11, 1.0), 8e-11: (4e-11, 1.6e-10)}[entries[1]]
+        assert solved.eigenvalues == means
+        for p, (_, diag) in zip(solved.projectors, groups):
+            np.testing.assert_array_equal(p, np.diag(diag))
+
+    def test_exact_tie_diagonals_match_the_constructive_route(self):
+        # exact ties have one value per group, so the group's mean is its
+        # first value and both routes build the same bytes; the eigenvalues
+        # compare equal, though a tied group of -0.0 has the mean +0.0
+        rng = np.random.default_rng(12)
+        values = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+        for _ in range(300):
+            entries = rng.choice(values, int(rng.integers(1, 9)))
+            want = from_projectors(entries, [np.diag(row) for row in np.eye(entries.size)])
+            got = Observable.from_matrix(np.diag(entries))
+            assert got.matrix.tobytes() == want.matrix.tobytes(), entries
+            assert got.eigenvalues == want.eigenvalues, entries
+            assert len(got.projectors) == len(want.projectors), entries
+            for p, q in zip(got.projectors, want.projectors):
+                assert p.tobytes() == q.tobytes(), entries
 
     @given(nonzero_state(3), nonzero_state(3))
     def test_hermitian_adjoint_identity(self, a, b):
@@ -267,7 +305,7 @@ def _random_state(rng, dim):
 
 def _collective_total(n: int = 3) -> np.ndarray:
     """Sum over n factors of the 4-dim pair observable, as in criterion 10."""
-    obs = Observable.diagonal([0, 0, 0, 1])
+    obs = diagonal([0, 0, 0, 1])
     total = np.zeros((4**n, 4**n), dtype=complex)
     for k in range(n):
         factors = [np.eye(4, dtype=complex)] * n
@@ -287,11 +325,11 @@ def _families():
         vecs = np.linalg.qr(rng.standard_normal((dim, dim))
                             + 1j * rng.standard_normal((dim, dim)))[0]
         groups = np.array_split(np.arange(dim), (dim + 1) // 2)
-        out.append((f"from_projectors-{dim}", Observable.from_projectors(
+        out.append((f"from_projectors-{dim}", from_projectors(
             rng.uniform(-2.0, 2.0, len(groups)),
             [vecs[:, g] @ vecs[:, g].conj().T for g in groups])))
-        out.append((f"diagonal-{dim}", Observable.diagonal(rng.integers(-2, 3, dim))))
-        left = identity(1) if dim in (2, 3, 5) else Observable.diagonal([0.5, -1.0])
+        out.append((f"diagonal-{dim}", diagonal(rng.integers(-2, 3, dim))))
+        left = identity(1) if dim in (2, 3, 5) else diagonal([0.5, -1.0])
         right = Observable.from_matrix(_random_hermitian(rng, dim // left.dim))
         out.append((f"op_tensor-{dim}", op_tensor(left, right)))
         out.append((f"projector-{dim}", projector(_random_state(rng, dim))))
@@ -299,11 +337,11 @@ def _families():
     groups = np.array_split(np.arange(64), 4)
     out += [
         ("from_matrix-64", Observable.from_matrix(_collective_total())),
-        ("from_projectors-64", Observable.from_projectors(
+        ("from_projectors-64", from_projectors(
             [-1.0, 0.0, 2.0, 3.5], [vecs[:, g] @ vecs[:, g].conj().T for g in groups])),
-        ("diagonal-64", Observable.diagonal(np.arange(64) % 5)),
-        ("op_tensor-64", op_tensor(Observable.diagonal([0, 1, 1, 2]),
-                                   Observable.diagonal(np.arange(16) % 3))),
+        ("diagonal-64", diagonal(np.arange(64) % 5)),
+        ("op_tensor-64", op_tensor(diagonal([0, 1, 1, 2]),
+                                   diagonal(np.arange(16) % 3))),
         ("projector-64", projector(_random_state(rng, 64))),
     ]
     return out
@@ -375,10 +413,10 @@ class TestStackedValidation:
 
     def test_pairwise_products_stay_in_bounded_blocks(self):
         # 32 one-dim projectors of dim 32: all 1024 products at once peak near 27 MB
-        Observable.diagonal(np.arange(32.0))
+        diagonal(np.arange(32.0))
         tracemalloc.start()
         try:
-            Observable.diagonal(np.arange(32.0))
+            diagonal(np.arange(32.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -477,7 +515,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_from_matrix_rejects_non_finite_matrix(self, bad):
-        with pytest.raises(ValueError, match="matrix is not finite"):
+        with pytest.raises(ValueError, match="^observable matrix is not finite$"):
             Observable.from_matrix(np.diag([1.0, bad]))
 
     def test_nan_eigenvalue_with_finite_projectors(self):
