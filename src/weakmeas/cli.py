@@ -176,20 +176,16 @@ def _cx(value: complex) -> dict:
 def _cmd_hardy_table(params: dict, provided: set[str]):
     scenario = hardy.build()
     table = hardy.weak_value_table(scenario)
-    results: dict = {name: _cx(value) for name, value in table.entries.items()}
+    results: dict = {name: _cx(value) for name, value in table.items()}
     results["p_postselect"] = prepost.postselection_probability(scenario.ensemble)
     rows = [("name", "re", "im")]
-    rows += [(name, value.real + 0.0, value.imag + 0.0)
-             for name, value in table.entries.items()]
+    rows += [(name, value.real + 0.0, value.imag + 0.0) for name, value in table.items()]
     rows.append(("p_postselect", results["p_postselect"], 0.0))
     return results, {}, [], rows
 
 
 def _cmd_detector_stats(params: dict, provided: set[str]):
-    scenario = hardy.build()
-    stats = hardy.detector_statistics(scenario, interaction=params["interaction"])
-    results = dict(stats.distribution())
-    results["D_plus_D_minus_given_no_annihilation"] = stats.dark_pair_given_no_annihilation
+    results = hardy.detector_statistics(hardy.build(), interaction=params["interaction"])
     rows = [("outcome", "probability")] + [(k, v) for k, v in results.items()]
     return results, {"interaction": params["interaction"]}, [], rows
 
@@ -244,7 +240,7 @@ def _cmd_weak_measure(params: dict, provided: set[str]):
         }
         rows.append((name, est.estimate, est.stderr, est.trials, wv.real, wv.imag))
         if params["pdf_points"]:
-            grid = pointer._sampling_grid(m, params["pdf_points"])
+            grid = pointer._sampling_grid(m.shifts, m.delta, params["pdf_points"])
             pdf = pointer.position_pdf(m, grid)
             pdf_rows = [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
     inputs = {"g": params["g"], "delta": params["delta"], "trials": params["trials"],

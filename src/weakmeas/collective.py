@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .pointer import SAMPLE_GRID_PADDING, check_delta, check_finite_positive
+from .pointer import _sampling_grid, check_delta, check_finite_positive
 from .prepost import PrePostEnsemble, branch_amplitudes, check_dimensions, weak_value
 from .qcore import Observable
 
@@ -99,12 +99,12 @@ def success_probability(spec: CollectiveSpec) -> float:
         return float("inf")
 
 
-def _scan_span(spec: CollectiveSpec) -> float:
-    """Half-width of the position window: largest |shift_k| plus the sampler padding."""
+def _window(spec: CollectiveSpec, points: int = MODE_GRID_POINTS) -> np.ndarray:
+    """The position window, by the sampler's rule over the shifts shift_k."""
     a0, a1 = (float(e) for e in spec.observable.eigenvalues)
     # the shifts are linear in k, so an endpoint attains the largest |shift_k|
     ends = spec.g * (spec.n_pairs * a0 + (a1 - a0) * np.array([0, spec.n_pairs]))
-    return float(np.max(np.abs(ends))) + SAMPLE_GRID_PADDING * spec.delta
+    return _sampling_grid(ends, spec.delta, points)
 
 
 def _moments(weight: np.ndarray, lq: np.ndarray) -> tuple[float, float]:
@@ -130,7 +130,7 @@ def _momentum_pointer(spec: CollectiveSpec):
     b = spec.g * (a1 - a0)
     ratio = max((abs(alpha0) + abs(alpha1)) / abs(alpha0 + alpha1), 1.0)
     p_max = math.sqrt(2.0 * (2.0 * n * math.log(ratio) + EDGE_LOG_DECAY)) / delta
-    step = min(math.pi / (2.0 * _scan_span(spec)),
+    step = min(math.pi / (2.0 * _window(spec)[-1]),
                1.0 / (8.0 * abs(b) * math.sqrt(n)),
                1.0 / (2.0 * delta))
     half = 2 * math.ceil(p_max / (2.0 * step))
@@ -158,14 +158,15 @@ def _momentum_pointer(spec: CollectiveSpec):
     return p, psi, s0 + mean, var
 
 
-def _density_scan(p: np.ndarray, psi: np.ndarray, start: float, step: float,
-                  count: int) -> np.ndarray:
-    """Unnormalized position density |sum_j psi~_j exp(i p_j q)|^2 at q = start + step*i.
+def _density_scan(p: np.ndarray, psi: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Unnormalized position density |sum_j psi~_j exp(i p_j q)|^2 on a uniform grid.
 
-    Writing i = a*rows + c factors exp(i p q) into a (rows x m) matrix shared
-    by every block of rows and one phase per block, so the scan is a single
-    matrix product costing O(sqrt(count)*m) exponentials, not count*m.
+    Writing q = grid[0] + step*i and i = a*rows + c factors exp(i p q) into
+    a (rows x m) matrix shared by every block of rows and one phase per
+    block, so the scan is a single matrix product costing O(sqrt(count)*m)
+    exponentials, not count*m.
     """
+    start, step, count = grid[0], grid[1] - grid[0], grid.size
     rows = math.isqrt(count - 1) + 1
     blocks = -(-count // rows)
     within = np.exp(1j * np.outer(step * np.arange(rows), p))
@@ -175,9 +176,8 @@ def _density_scan(p: np.ndarray, psi: np.ndarray, start: float, step: float,
 
 def _mode_search(spec: CollectiveSpec, p: np.ndarray, psi: np.ndarray) -> float:
     """Global density mode: 4096-point scan, then golden-section refinement."""
-    span = _scan_span(spec)
-    grid = np.linspace(-span, span, MODE_GRID_POINTS)
-    best = int(np.argmax(_density_scan(p, psi, -span, grid[1] - grid[0], grid.size)))
+    grid = _window(spec)
+    best = int(np.argmax(_density_scan(p, psi, grid)))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
 
@@ -210,9 +210,8 @@ def density_grid(spec: CollectiveSpec,
     if spec.n_pairs < 1:
         raise ValueError("density_grid requires n_pairs >= 1")
     p, psi, _, _ = _momentum_pointer(spec)
-    span = _scan_span(spec)
-    grid = np.linspace(-span, span, points)
-    pdf = _density_scan(p, psi, -span, grid[1] - grid[0], points)
+    grid = _window(spec, points)
+    pdf = _density_scan(p, psi, grid)
     pdf /= np.trapezoid(pdf, grid)
     return grid, pdf
 

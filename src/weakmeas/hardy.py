@@ -16,7 +16,8 @@ name: four single-particle projectors and four pair products,
 
 Each is the diagonal observable, read off one arm table, that is 1 exactly
 on the arm products its arm condition allows and 0 elsewhere; the eight are
-built as one stacked eigensolve, ``Observable._from_matrices``.
+built as one stacked eigensolve, ``Observable._from_matrices``.  Results
+are plain dicts; ``verify`` judges every fact about them.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ _PORTS = {port: StateVector(np.array([1.0, sign], dtype=complex) / sqrt(2.0), AR
           for port, sign in (("C", 1.0), ("D", -1.0))}
 _ARM_O = StateVector(np.array([0.0, 1.0], dtype=complex), ARMS)
 
-TABLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class HardyScenario:
@@ -67,21 +66,6 @@ class HardyScenario:
             raise KeyError(
                 f"unknown observable {name!r}; valid names: {', '.join(OBSERVABLE_ORDER)}")
         return self.observables[name]
-
-
-@dataclass(frozen=True)
-class WeakValueTable:
-    """The eight named weak values; all imaginary parts vanish here."""
-
-    entries: dict[str, complex]
-
-    def __post_init__(self):
-        for name, value in self.entries.items():
-            if not abs(value.imag) <= TABLE_TOL:  # NaN fails too
-                raise ValueError(f"{name}: unexpected imaginary part {value.imag}")
-
-    def real_values(self) -> dict[str, float]:
-        return {name: v.real for name, v in self.entries.items()}
 
 
 def build() -> HardyScenario:
@@ -107,28 +91,13 @@ def build() -> HardyScenario:
                   for arm_p, arm_e in _ARMS_OF.values()]
     observables = dict(zip(_ARMS_OF, Observable._from_matrices(indicators)))
 
-    scenario = HardyScenario(initial, observables, PrePostEnsemble(preselected, postselected))
-    _validate(scenario)
-    return scenario
+    return HardyScenario(initial, observables, PrePostEnsemble(preselected, postselected))
 
 
-def _validate(s: HardyScenario) -> None:
-    # NaN fails every comparison, so the checks read not (deviation <= tol)
-    if not abs(s.ensemble.pre.amplitude("O·O")) <= TABLE_TOL:
-        raise AssertionError("annihilated branch survived pre-selection")
-    mat = {name: obs.matrix for name, obs in s.observables.items()}
-    for p_arm in ARMS:
-        for e_arm in ARMS:
-            prod = mat[f"N_plus_{p_arm}"] @ mat[f"N_minus_{e_arm}"]
-            if not np.max(np.abs(mat[f"N_pair_{p_arm}_{e_arm}"] - prod)) <= TABLE_TOL:
-                raise AssertionError("pair operator is not the product of its one-particle ones")
-
-
-def weak_value_table(s: HardyScenario) -> WeakValueTable:
-    """All eight weak values straight from the defining ratio."""
-    entries = {name: weak_value(s.observable(name), s.ensemble).value
-               for name in OBSERVABLE_ORDER}
-    return WeakValueTable(entries)
+def weak_value_table(s: HardyScenario) -> dict[str, complex]:
+    """All eight weak values straight from the defining ratio, in OBSERVABLE_ORDER."""
+    return {name: weak_value(s.observable(name), s.ensemble).value
+            for name in OBSERVABLE_ORDER}
 
 
 def postselection_variants() -> dict[str, StateVector]:
@@ -143,25 +112,14 @@ def postselection_variants() -> dict[str, StateVector]:
     return variants
 
 
-@dataclass(frozen=True)
-class DetectorStatistics:
-    """Unconditional outcome distribution of one run of the interferometers."""
-
-    annihilation: float
-    coincidences: dict[str, float]
-    dark_pair_given_no_annihilation: float
-
-    def distribution(self) -> dict[str, float]:
-        return {"annihilation": self.annihilation, **self.coincidences}
-
-
-def detector_statistics(s: HardyScenario, interaction: bool = True) -> DetectorStatistics:
+def detector_statistics(s: HardyScenario, interaction: bool = True) -> dict[str, float]:
     """Detector coincidence probabilities from the initial state.
 
     C detectors project each particle onto (|NO> + |O>)/sqrt(2), D detectors
     onto (|NO> - |O>)/sqrt(2).  With ``interaction`` the O·O branch is removed
     (annihilation) before the detectors; without it the particles never meet
-    and the dark coincidence D+D- is forbidden by interference.
+    and the dark coincidence D+D- is forbidden by interference.  Returns
+    ``annihilation``, the sorted coincidences, then D+D- given no annihilation.
     """
     amps = np.array(s.initial.amplitudes)
     if interaction:
@@ -171,17 +129,8 @@ def detector_statistics(s: HardyScenario, interaction: bool = True) -> DetectorS
         annihilation = 0.0
     survivor = StateVector(amps, s.initial.labels)
 
-    coincidences = {key: float(abs(inner(state, survivor)) ** 2)
-                    for key, state in sorted(postselection_variants().items())
-                    if key != "O_O"}
-
-    total = annihilation + sum(coincidences.values())
-    if not abs(total - 1.0) <= TABLE_TOL:
-        raise AssertionError(f"detector distribution sums to {total}")
-    no_annihilation = 1.0 - annihilation
-    conditional = coincidences["D_plus_D_minus"] / no_annihilation
-    return DetectorStatistics(
-        annihilation=annihilation,
-        coincidences=coincidences,
-        dark_pair_given_no_annihilation=conditional,
-    )
+    stats = {"annihilation": annihilation}
+    stats.update((key, float(abs(inner(state, survivor)) ** 2))
+                 for key, state in sorted(postselection_variants().items()) if key != "O_O")
+    stats["D_plus_D_minus_given_no_annihilation"] = stats["D_plus_D_minus"] / (1.0 - annihilation)
+    return stats

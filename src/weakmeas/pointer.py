@@ -230,8 +230,9 @@ class WeakEstimate:
     trials: int
 
 
-def _sampling_grid(m: PointerMixture, points: int = SAMPLE_GRID_POINTS) -> np.ndarray:
-    span = float(np.max(np.abs(m.shifts))) + SAMPLE_GRID_PADDING * m.delta
+def _sampling_grid(shifts: np.ndarray, delta: float, points: int) -> np.ndarray:
+    """The window +-(max|shift| + SAMPLE_GRID_PADDING*delta); grid[-1] is exactly its span."""
+    span = float(np.max(np.abs(shifts))) + SAMPLE_GRID_PADDING * delta
     return np.linspace(-span, span, points)
 
 
@@ -284,7 +285,7 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     if not 0 <= seed < 2**64:  # one Philox key word
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-    grid = _sampling_grid(m)
+    grid = _sampling_grid(m.shifts, m.delta, SAMPLE_GRID_POINTS)
     pdf = position_pdf(m, grid)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2.0)])
     total = float(cdf[-1])

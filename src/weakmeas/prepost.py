@@ -27,7 +27,6 @@ from .qcore import Observable, StateVector, inner
 
 EPS_DEGENERATE = 1e-10
 CERTAINTY_TOL = 1e-10
-EIGENVALUE_MATCH_TOL = 1e-9  # AblDistribution.probability's eigenvalue lookup
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,6 @@ class AblDistribution:
         if (any(not (p >= -1e-12) for _, p in self.entries)
                 or not (abs(total - 1.0) <= 1e-12)):
             raise ValueError("probabilities must be nonnegative and sum to 1")
-
-    def probability(self, eigenvalue: float) -> float:
-        for a, p in self.entries:
-            if abs(a - eigenvalue) <= EIGENVALUE_MATCH_TOL:
-                return p
-        return 0.0
 
     def as_dict(self) -> dict[float, float]:
         return dict(self.entries)

@@ -3,6 +3,7 @@
 Each check re-derives one headline quantitative claim at its stated
 tolerance and reports pass/fail with a short detail string.  The checks are
 deterministic (fixed seeds) so a passing run is reproducible bit-for-bit.
+Every Hardy fact is judged here, once; ``hardy`` returns plain data.
 """
 
 from __future__ import annotations
@@ -56,12 +57,25 @@ class CheckResult:
 
 def check_weak_value_table() -> tuple[bool, str]:
     table = hardy.weak_value_table(hardy.build())
-    dev = _worst(abs(table.entries[k] - EXPECTED_TABLE[k]) for k in EXPECTED_TABLE)
+    dev = _worst(abs(table[k] - EXPECTED_TABLE[k]) for k in EXPECTED_TABLE)
     return dev <= 1e-12, f"max deviation from (1,1,0,0,0,1,1,-1): {dev:.2e}"
 
 
 def check_postselection_probability() -> tuple[bool, str]:
-    p = prepost.postselection_probability(hardy.build().ensemble)
+    """O·O annihilated, detector total 1, and D+D- given no annihilation = p = 1/12."""
+    sc = hardy.build()
+    survived = abs(sc.ensemble.pre.amplitude("O·O"))
+    if not survived <= 1e-12:
+        return False, f"annihilated O·O amplitude {survived:.2e} survived pre-selection"
+    stats = hardy.detector_statistics(sc)
+    conditional = stats.pop("D_plus_D_minus_given_no_annihilation")
+    total_dev = abs(sum(stats.values()) - 1.0)
+    if not total_dev <= 1e-12:
+        return False, f"detector distribution total off 1 by {total_dev:.2e}"
+    p = prepost.postselection_probability(sc.ensemble)
+    conditional_dev = abs(conditional - p)
+    if not conditional_dev <= 1e-12:
+        return False, f"D+D- given no annihilation off p by {conditional_dev:.2e}"
     dev = abs(p - 1.0 / 12.0)
     return dev <= 1e-12, f"|p - 1/12| = {dev:.2e}"
 
@@ -81,7 +95,7 @@ def check_abl_and_certainty() -> tuple[bool, str]:
     dev = _worst([abs(dist[0.0] - 0.8), abs(dist[1.0] - 0.2)])
     if not dev <= 1e-12:
         return False, f"N_pair_NO_NO odds off by {dev:.2e}"
-    table = hardy.weak_value_table(sc).real_values()
+    table = {k: v.real for k, v in hardy.weak_value_table(sc).items()}
     for name in CERTAIN_SEVEN:
         obs = sc.observable(name)
         certain = prepost.certainty_check(obs, sc.ensemble)
@@ -98,7 +112,8 @@ def check_abl_and_certainty() -> tuple[bool, str]:
 def check_identity_chain() -> tuple[bool, str]:
     """Check the operator identities, then rebuild the table by logic alone.
 
-    The anchors are the three conditionally certain facts (electron in O,
+    The identities are seven occupation sums and four pair products.  The
+    anchors are the three conditionally certain facts (electron in O,
     positron in O, no pair in O·O); additivity of weak values carries them
     through the identities to all eight entries.  The pair completeness
     identity also gives the NO·NO pair value on its own, appendix-style, from
@@ -117,6 +132,9 @@ def check_identity_chain() -> tuple[bool, str]:
         "pair_completeness": (mat["N_pair_O_O"] + mat["N_pair_NO_O"]
                               + mat["N_pair_O_NO"] + mat["N_pair_NO_NO"] - ident),
     }
+    identities.update((f"pair_{x}_{y}_product",
+                       mat[f"N_pair_{x}_{y}"] - mat[f"N_plus_{x}"] @ mat[f"N_minus_{y}"])
+                      for x in hardy.ARMS for y in hardy.ARMS)
     worst_identity = _worst(float(np.max(np.abs(m))) for m in identities.values())
 
     # criterion 3 judges that the seven are certain; one that is not reads as
@@ -134,7 +152,7 @@ def check_identity_chain() -> tuple[bool, str]:
                                - derived["N_pair_NO_O"] - derived["N_pair_O_NO"])
     appendix = 1.0 - inputs["N_pair_O_O"] - inputs["N_pair_NO_O"] - inputs["N_pair_O_NO"]
 
-    table = hardy.weak_value_table(sc).real_values()
+    table = {k: v.real for k, v in hardy.weak_value_table(sc).items()}
     table_dev = _worst([*(abs(derived[k] - table[k]) for k in hardy.OBSERVABLE_ORDER),
                         abs(appendix - table["N_pair_NO_NO"])])
     if not table_dev <= 1e-12:
@@ -200,7 +218,7 @@ def check_additivity() -> tuple[bool, str]:
 
 def check_weak_limit_convergence() -> tuple[bool, str]:
     sc = hardy.build()
-    table = hardy.weak_value_table(sc).real_values()
+    table = {k: v.real for k, v in hardy.weak_value_table(sc).items()}
     couplings = (0.1, 0.05, 0.01)
     finals = []
     ratios = [1.0]
@@ -295,7 +313,7 @@ def _ks_pvalue(n: int, d: float) -> float:
 
 def check_monte_carlo() -> tuple[bool, str]:
     sc = hardy.build()
-    table = hardy.weak_value_table(sc).real_values()
+    table = {k: v.real for k, v in hardy.weak_value_table(sc).items()}
     g, delta, trials = 0.05, 1.0, 100_000
     pulls = []
     pvalues = [1.0]
@@ -317,7 +335,7 @@ def check_monte_carlo() -> tuple[bool, str]:
 
 def check_simultaneous() -> tuple[bool, str]:
     sc = hardy.build()
-    table = hardy.weak_value_table(sc).real_values()
+    table = {k: v.real for k, v in hardy.weak_value_table(sc).items()}
     g = 0.01
     specs = [pointer.CouplingSpec(sc.observable(n), g=g, delta=1.0)
              for n in hardy.OBSERVABLE_ORDER]

@@ -69,6 +69,9 @@ def test_value_type_fields():
 
 def test_hardy_scenario_surface():
     assert field_names(hardy.HardyScenario) == ("initial", "observables", "ensemble")
+    classes = [name for name, attr in vars(hardy).items()
+               if inspect.isclass(attr) and attr.__module__ == hardy.__name__]
+    assert classes == ["HardyScenario"]
     functions = sorted(name for name, attr in vars(hardy).items()
                        if inspect.isfunction(attr) and attr.__module__ == hardy.__name__
                        and not name.startswith("_"))
@@ -84,8 +87,3 @@ def test_observable_has_one_public_constructor():
     public = tuple(name for name, attr in vars(weakmeas.Observable).items()
                    if isinstance(attr, classmethod) and not name.startswith("_"))
     assert public == ("from_matrix",)
-
-
-def test_abl_probability_has_no_tolerance_knob():
-    params = inspect.signature(weakmeas.AblDistribution.probability).parameters
-    assert list(params) == ["self", "eigenvalue"]

@@ -138,7 +138,8 @@ class TestWeakMeasure:
         rows = list(csv.DictReader(io.StringIO(out)))
         scenario = hardy.build()
         spec = pointer.CouplingSpec(scenario.observable("N_minus_O"), g=0.2, delta=0.5)
-        grid = pointer._sampling_grid(pointer.mixture(scenario.ensemble, spec), 64)
+        m = pointer.mixture(scenario.ensemble, spec)
+        grid = pointer._sampling_grid(m.shifts, m.delta, 64)
         assert (float(rows[0]["q"]), float(rows[-1]["q"])) == (grid[0], grid[-1])
 
     @pytest.mark.parametrize("flag", ["--g", "--delta"])

@@ -1,10 +1,12 @@
 """CLI documents pinned against outputs recorded before the momentum-space rewrite.
 
-The files under ``golden/`` were written by the position-space mpmath
-implementation of the collective statistics.  Every document except
-``collective`` must be reproduced byte for byte; ``collective`` now comes
-from a different quadrature, so its mean and spread are compared to 1e-9 and
-every other field, the mode included, exactly.
+The JSON documents under ``golden/`` were written by the position-space
+mpmath implementation of the collective statistics; the CSV tables and the
+``--no-interaction`` document were recorded later, before ``hardy`` began to
+return plain dicts.  Every document except ``collective`` must be reproduced
+byte for byte; ``collective`` now comes from a different quadrature, so its
+mean and spread are compared to 1e-9 and every other field, the mode
+included, exactly.
 """
 
 import json
@@ -23,15 +25,20 @@ def cli_stdout(argv, capsys):
 
 
 @pytest.mark.parametrize("name, argv", [
-    ("hardy-table", ["hardy-table"]),
-    ("detector-stats", ["detector-stats"]),
-    ("abl", ["abl"]),
-    ("simultaneous", ["simultaneous"]),
-    ("weak-measure", ["weak-measure", "--seed", "7", "--trials", "20000"]),
-    ("verify", ["verify"]),
+    ("hardy-table.json", ["hardy-table"]),
+    ("hardy-table.csv", ["hardy-table", "--format", "csv"]),
+    ("detector-stats.json", ["detector-stats"]),
+    ("detector-stats.csv", ["detector-stats", "--format", "csv"]),
+    ("detector-stats-no-interaction.json", ["detector-stats", "--no-interaction"]),
+    ("abl.json", ["abl"]),
+    ("simultaneous.json", ["simultaneous"]),
+    ("weak-measure.json", ["weak-measure", "--seed", "7", "--trials", "20000"]),
+    ("weak-measure-pdf.csv", ["weak-measure", "--observable", "N_pair_NO_NO", "--seed", "7",
+                              "--trials", "10", "--pdf-points", "64", "--format", "csv"]),
+    ("verify.json", ["verify"]),
 ])
 def test_document_is_byte_identical(name, argv, capsys):
-    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert cli_stdout(argv, capsys) == expected
 
 

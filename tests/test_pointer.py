@@ -30,6 +30,7 @@ from weakmeas.pointer import (
     MAX_JOINT_TERMS,
     MAX_TRIALS,
     MOMENTUM_SHIFT_FACTOR,
+    SAMPLE_GRID_POINTS,
     CouplingSpec,
     PointerMixture,
     ReadingSample,
@@ -87,7 +88,7 @@ def fft_momentum_mean(m: PointerMixture, points: int = 2**15) -> float:
 
 def interp_oracle(m: PointerMixture, trials: int, seed: int):
     """The sampler's grid, CDF and uniforms, inverted by ``np.interp``."""
-    grid = _sampling_grid(m)
+    grid = _sampling_grid(m.shifts, m.delta, SAMPLE_GRID_POINTS)
     pdf = position_pdf(m, grid)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2.0)])
     cdf /= cdf[-1]
@@ -523,7 +524,7 @@ class TestSimultaneous:
         specs = [CouplingSpec(scenario.observable(n), g=g, delta=1.0)
                  for n in hardy.OBSERVABLE_ORDER]
         means = simultaneous(scenario.ensemble, specs)
-        table = hardy.weak_value_table(scenario).real_values()
+        table = {k: v.real for k, v in hardy.weak_value_table(scenario).items()}
         for name, mean in zip(hardy.OBSERVABLE_ORDER, means):
             assert mean / g == pytest.approx(table[name], abs=1e-2), name
 

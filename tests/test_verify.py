@@ -1,5 +1,5 @@
 """``verify`` internals: its numpy KS test, its batched criterion 5, the
-failure branches of criteria 3 and 4 and its worst-case folds.
+failure branches of criteria 2, 3 and 4 and its worst-case folds.
 
 ``verify`` computes the KS statistic and its p-value itself so that it never
 imports ``scipy.stats``; ``scipy.stats.kstest`` and ``kstwo`` stay here as the
@@ -8,6 +8,7 @@ it replaced stays here as the oracle.  A NaN anywhere in a check's worst-case
 fold must fail the check.
 """
 
+import dataclasses
 import itertools
 import math
 import os
@@ -22,7 +23,7 @@ from spectral_oracle import pairwise_from_matrix
 
 import weakmeas
 from weakmeas import collective, hardy, pointer, prepost, verify
-from weakmeas.qcore import Observable
+from weakmeas.qcore import Observable, StateVector
 
 N = 100_000  # criterion 8's sample size
 
@@ -111,12 +112,14 @@ NAN = math.nan
 
 
 @pytest.mark.parametrize("criterion, module, name, calls, poison", [
+    # the imaginary part of the second entry of the table
+    (1, hardy, "weak_value_table", {1},
+     lambda out: {**out, hardy.OBSERVABLE_ORDER[1]: complex(0.0, NAN)}),
     # the certainty of the first of the seven, after the NO·NO pair's
     (3, prepost, "certainty_check", {2}, lambda out: NAN),
     # the second entry of the direct table
     (4, hardy, "weak_value_table", {1},
-     lambda out: hardy.WeakValueTable({**out.entries,
-                                       hardy.OBSERVABLE_ORDER[1]: complex(NAN, 0.0)})),
+     lambda out: {**out, hardy.OBSERVABLE_ORDER[1]: complex(NAN, 0.0)}),
     # the second random triple's (A+B)_w
     (5, prepost, "weak_value", {4}, lambda out: prepost.WeakValue(complex(NAN, 0.0))),
     # every coupling of the second observable
@@ -131,7 +134,8 @@ NAN = math.nan
     # the N = 100 collective mean
     (10, collective, "collective_pointer_stats", {2},
      lambda out: collective.CollectiveStats(NAN, out.mode, out.spread, out.warnings)),
-], ids=["c3-certainty_check", "c4-weak_value_table", "c5-weak_value", "c6-position_mean",
+], ids=["c1-weak_value_table", "c3-certainty_check", "c4-weak_value_table", "c5-weak_value",
+        "c6-position_mean",
         "c7-window_mass", "c8-estimate", "c8-ks_pvalue", "c9-simultaneous",
         "c10-collective_mean"])
 def test_nan_in_second_item_fails_the_check(monkeypatch, criterion, module, name, calls,
@@ -173,11 +177,62 @@ def test_identity_chain_fails_when_the_direct_table_disagrees(monkeypatch):
     real = hardy.weak_value_table
 
     def shifted(s):
-        entries = dict(real(s).entries)
-        entries["N_pair_NO_NO"] += 1e-9
-        return hardy.WeakValueTable(entries)
+        table = real(s)
+        table["N_pair_NO_NO"] += 1e-9
+        return table
 
     monkeypatch.setattr(hardy, "weak_value_table", shifted)
     result = verify.run_check(4)
     assert not result.passed
     assert result.detail == "derived table deviates from the direct one by 1.00e-09"
+
+
+def _with_pre_oo(s, amplitude):
+    """The scenario with an O·O amplitude left in the pre-selected state."""
+    amps = np.array(s.ensemble.pre.amplitudes)
+    amps[s.ensemble.pre.labels.index("O·O")] = amplitude
+    pre = StateVector(amps, s.ensemble.pre.labels).normalized()
+    return dataclasses.replace(s, ensemble=prepost.PrePostEnsemble(pre, s.ensemble.post))
+
+
+def _shift_stat(key, by):
+    real = hardy.detector_statistics
+
+    def shifted(s, interaction=True):
+        stats = real(s, interaction)
+        stats[key] += by
+        return stats
+    return shifted
+
+
+@pytest.mark.parametrize("target, patch, detail", [
+    ("build", lambda real: lambda: _with_pre_oo(real(), 1e-6),
+     "annihilated O·O amplitude 1.00e-06 survived pre-selection"),
+    ("detector_statistics", lambda real: _shift_stat("C_plus_C_minus", 1e-9),
+     "detector distribution total off 1 by 1.00e-09"),
+    ("detector_statistics",
+     lambda real: _shift_stat("D_plus_D_minus_given_no_annihilation", 1e-9),
+     "D+D- given no annihilation off p by 1.00e-09"),
+], ids=["oo-survives", "sum-not-one", "conditional-not-p"])
+def test_postselection_check_fails_on_each_detector_fact(monkeypatch, target, patch, detail):
+    monkeypatch.setattr(hardy, target, patch(getattr(hardy, target)))
+    result = verify.run_check(2)
+    assert not result.passed
+    assert result.detail == detail
+
+
+def test_identity_chain_fails_when_a_pair_is_not_a_product(monkeypatch, scenario):
+    # N_pair_O_O and N_pair_NO_NO gain +0.5 on O·O, N_pair_O_NO and N_pair_NO_O
+    # lose it: the seven sums still hold, and neither the weak values nor the
+    # certainties change (the pre-selected state has no O·O amplitude), but no
+    # pair is the product of its one-particle operators any more
+    bump = np.diag([0.0, 0.0, 0.0, 0.5])
+    sign = {"N_pair_O_O": 1.0, "N_pair_NO_NO": 1.0, "N_pair_O_NO": -1.0, "N_pair_NO_O": -1.0}
+    observables = {name: (Observable.from_matrix(obs.matrix + sign[name] * bump)
+                          if name in sign else obs)
+                   for name, obs in scenario.observables.items()}
+    broken = dataclasses.replace(scenario, observables=observables)
+    monkeypatch.setattr(hardy, "build", lambda: broken)
+    result = verify.run_check(4)
+    assert not result.passed
+    assert result.detail == "derived-table deviation 0.00e+00, identity residual 5.00e-01"
