@@ -281,9 +281,12 @@ def _cmd_collective(params: dict, provided: set[str]):
     delta = params["delta"] if "delta" in provided else params["c"] * params["g"] * math.sqrt(n)
     spec = collective.CollectiveSpec(ensemble, scenario.observable(names[0]),
                                      n_pairs=n, g=params["g"], delta=delta)
+    warnings = []
+    if not spec.in_regime:
+        warnings.append(f"delta={spec.delta:g} below collective weak-regime scale "
+                        f"g*sqrt(N)={spec.g * math.sqrt(spec.n_pairs):g}; "
+                        "results describe a strong measurement")
     stats = collective.collective_pointer_stats(spec)
-    wv_total = collective.collective_weak_value(spec)
-    p_success = collective.success_probability(spec)
     results = {
         "mean": stats.mean,
         "mean_over_g": stats.mean / params["g"],
@@ -291,9 +294,9 @@ def _cmd_collective(params: dict, provided: set[str]):
         "mode_over_g": stats.mode / params["g"],
         "spread": stats.spread,
         "spread_over_g": stats.spread / params["g"],
-        "success_probability": p_success,
-        "success_probability_log10": 2.0 * n * math.log10(abs(ensemble.overlap)),
-        "collective_weak_value": _cx(wv_total),
+        "success_probability": collective.success_probability(spec),
+        "success_probability_log10": min(2.0 * n * math.log10(abs(ensemble.overlap)), 0.0),
+        "collective_weak_value": _cx(collective.collective_weak_value(spec)),
         "delta": delta,
     }
     if params["pdf_points"]:
@@ -304,7 +307,7 @@ def _cmd_collective(params: dict, provided: set[str]):
                                       if not isinstance(v, dict)]
     inputs = {"observable": names[0], "n_pairs": n, "g": params["g"],
               "delta": delta, "c": params["c"], "postselect": params["postselect"]}
-    return results, inputs, list(stats.warnings), rows
+    return results, inputs, warnings, rows
 
 
 def _cmd_verify(params: dict, provided: set[str]):

@@ -25,6 +25,9 @@ so the rule converges exponentially).  The grid is checked by recomputing the
 moments from every second point; an unresolved or oversized grid raises
 QuadratureError.  The mode and the plotting density transform the same
 psi~ back to position space.
+
+``CollectiveSpec`` judges N (an integer >= 1) once.  The statistics are plain
+(mean, mode, spread); ``spec.in_regime`` says whether the coupling is weak.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ class CollectiveSpec:
     def __post_init__(self):
         if len(self.observable.eigenvalues) != 2:
             raise ValueError("collective coupling requires exactly two distinct eigenvalues")
-        if self.n_pairs < 0 or int(self.n_pairs) != self.n_pairs:
-            raise ValueError("n_pairs must be a non-negative integer")
+        if not (self.n_pairs >= 1 and self.n_pairs % 1 == 0):  # NaN and inf fail too
+            raise ValueError(f"n_pairs must be an integer >= 1, got {self.n_pairs}")
         check_finite_positive(g=self.g)
         check_delta(self.delta)
         check_dimensions(self.observable, self.ensemble)
@@ -74,7 +77,7 @@ class CollectiveSpec:
     @property
     def in_regime(self) -> bool:
         """Collective weak regime: delta at least g*sqrt(N)."""
-        return self.delta >= self.g * math.sqrt(max(self.n_pairs, 1))
+        return self.delta >= self.g * math.sqrt(self.n_pairs)
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,6 @@ class CollectiveStats:
     mean: float
     mode: float
     spread: float
-    warnings: tuple[str, ...]
 
 
 def collective_weak_value(spec: CollectiveSpec) -> complex:
@@ -93,10 +95,7 @@ def collective_weak_value(spec: CollectiveSpec) -> complex:
 def success_probability(spec: CollectiveSpec) -> float:
     """Probability that all N pairs pass post-selection: |<post|pre>|^(2N)."""
     log_p = 2.0 * spec.n_pairs * math.log(abs(spec.ensemble.overlap))
-    try:
-        return math.exp(log_p)
-    except OverflowError:  # pragma: no cover - |overlap| <= 1 keeps log_p <= 0
-        return float("inf")
+    return math.exp(min(log_p, 0.0))  # |<post|pre>| may pass 1 by the norm tolerance
 
 
 def _window(spec: CollectiveSpec, points: int = MODE_GRID_POINTS) -> np.ndarray:
@@ -207,8 +206,6 @@ def density_grid(spec: CollectiveSpec,
     The momentum-space pointer transformed back by the same quadrature the
     mode search uses, rescaled so the trapezoid integral over the grid is 1.
     """
-    if spec.n_pairs < 1:
-        raise ValueError("density_grid requires n_pairs >= 1")
     p, psi, _, _ = _momentum_pointer(spec)
     grid = _window(spec, points)
     pdf = _density_scan(p, psi, grid)
@@ -223,24 +220,12 @@ def collective_pointer_stats(spec: CollectiveSpec) -> CollectiveStats:
     single-term mixture (one certain branch) short-circuits to the exact
     Gaussian answer.
     """
-    if spec.n_pairs < 1:
-        raise ValueError("collective_pointer_stats requires n_pairs >= 1")
-    warnings: tuple[str, ...] = ()
-    if not spec.in_regime:
-        warnings = (
-            f"delta={spec.delta:g} below collective weak-regime scale "
-            f"g*sqrt(N)={spec.g * math.sqrt(spec.n_pairs):g}; "
-            "results describe a strong measurement",
-        )
-
     alpha0, alpha1 = spec.alphas
     if alpha0 == 0 or alpha1 == 0:
         a0, a1 = (float(e) for e in spec.observable.eigenvalues)
         eig = a1 if alpha0 == 0 else a0
         center = spec.g * spec.n_pairs * eig
-        return CollectiveStats(mean=center, mode=center,
-                               spread=spec.delta / 2.0, warnings=warnings)
+        return CollectiveStats(mean=center, mode=center, spread=spec.delta / 2.0)
 
     p, psi, mean, var = _momentum_pointer(spec)
-    return CollectiveStats(mean=mean, mode=_mode_search(spec, p, psi),
-                           spread=math.sqrt(var), warnings=warnings)
+    return CollectiveStats(mean=mean, mode=_mode_search(spec, p, psi), spread=math.sqrt(var))

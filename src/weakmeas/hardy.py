@@ -31,6 +31,7 @@ from .prepost import PrePostEnsemble, weak_value
 from .qcore import Observable, StateVector, inner, tensor
 
 ARMS = ("NO", "O")
+_O_O = 3  # of the basis (NO·NO, NO·O, O·NO, O·O), the branch annihilation removes
 
 # every observable as (positron arm, electron arm), None meaning either arm
 _ARMS_OF = {
@@ -47,9 +48,9 @@ OBSERVABLE_ORDER = tuple(_ARMS_OF)
 
 # one interferometer's detector ports, C = (|NO> + |O>)/sqrt(2) and
 # D = (|NO> - |O>)/sqrt(2), and its overlapping arm |O>
-_PORTS = {port: StateVector(np.array([1.0, sign], dtype=complex) / sqrt(2.0), ARMS)
+_PORTS = {port: StateVector(np.array([1.0, sign], dtype=complex) / sqrt(2.0))
           for port, sign in (("C", 1.0), ("D", -1.0))}
-_ARM_O = StateVector(np.array([0.0, 1.0], dtype=complex), ARMS)
+_ARM_O = StateVector(np.array([0.0, 1.0], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ def build() -> HardyScenario:
 
     # pre-selection: project out the annihilated O·O branch and renormalize
     survived = np.array(initial.amplitudes)
-    survived[initial.labels.index("O·O")] = 0.0
-    preselected = StateVector(survived, initial.labels).normalized()
+    survived[_O_O] = 0.0
+    preselected = StateVector(survived).normalized()
 
     # post-selection: both dark detectors fire
     postselected = tensor(_PORTS["D"], _PORTS["D"])
@@ -123,11 +124,11 @@ def detector_statistics(s: HardyScenario, interaction: bool = True) -> dict[str,
     """
     amps = np.array(s.initial.amplitudes)
     if interaction:
-        annihilation = float(abs(s.initial.amplitude("O·O")) ** 2)
-        amps[s.initial.labels.index("O·O")] = 0.0
+        annihilation = float(abs(amps[_O_O]) ** 2)
+        amps[_O_O] = 0.0
     else:
         annihilation = 0.0
-    survivor = StateVector(amps, s.initial.labels)
+    survivor = StateVector(amps)
 
     stats = {"annihilation": annihilation}
     stats.update((key, float(abs(inner(state, survivor)) ** 2))

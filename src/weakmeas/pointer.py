@@ -22,7 +22,8 @@ weak regime means g * (spectral range of A) < delta.
 
 Everything is immutable; sampling uses an explicit counter-based generator
 keyed by (seed, chunk index), so concurrent runs with distinct seeds are
-independent and reproducible regardless of how trials are partitioned.
+independent and reproducible regardless of how trials are partitioned.  A
+``ReadingSample`` is its readings alone; the seed stays with its caller.
 """
 
 from __future__ import annotations
@@ -199,27 +200,21 @@ def momentum_mean(m: PointerMixture) -> float:
 
 @dataclass(frozen=True)
 class ReadingSample:
-    """Pointer readings drawn from the position density; reproducible by seed."""
+    """Pointer readings drawn from the position density, held as a read-only copy."""
 
     readings: np.ndarray
-    seed: int
-    trials: int
 
     def __post_init__(self):
         readings = np.array(self.readings, dtype=float).reshape(-1)
-        if readings.size != self.trials:
-            raise ValueError("readings length must equal trials")
         readings.setflags(write=False)
         object.__setattr__(self, "readings", readings)
 
     @classmethod
-    def _adopt(cls, readings: np.ndarray, seed: int) -> "ReadingSample":
+    def _adopt(cls, readings: np.ndarray) -> "ReadingSample":
         """Wrap a fresh 1-D float64 buffer that no one else holds, without a copy."""
         readings.setflags(write=False)
         out = cls.__new__(cls)
         object.__setattr__(out, "readings", readings)
-        object.__setattr__(out, "seed", seed)
-        object.__setattr__(out, "trials", readings.size)
         return out
 
 
@@ -305,14 +300,14 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
         out[filled:filled + n] = invert(u)
         filled += n
         chunk_index += 1
-    return ReadingSample._adopt(out, seed)
+    return ReadingSample._adopt(out)
 
 
 def estimate(s: ReadingSample, g: float) -> WeakEstimate:
     """Weak-value estimate mean(readings)/g with its standard error."""
     check_finite_positive(g=g)
     per_trial = s.readings / g
-    n = s.trials
+    n = s.readings.size
     # std(ddof=1) step by step as numpy computes it (same bits), but in place
     # on per_trial, so no second reading-sized temporary is made
     mean = per_trial.sum(keepdims=True)

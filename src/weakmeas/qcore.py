@@ -1,7 +1,8 @@
-"""Dense complex linear algebra over small labeled Hilbert spaces.
+"""Dense complex linear algebra over small Hilbert spaces.
 
-States are amplitude vectors over a labeled computational basis, observables
-are Hermitian matrices carrying their spectral decomposition (eigenvalues and
+States are amplitude vectors over the computational basis (a tensor product
+orders its basis with the first factor more significant), observables are
+Hermitian matrices carrying their spectral decomposition (eigenvalues and
 orthogonal projectors).  Every observable the package builds comes from one
 route, the stacked Hermitian eigensolve of ``Observable._from_matrices``
 (``from_matrix`` is its stack of one).  Everything is immutable after
@@ -16,7 +17,6 @@ stands for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -33,33 +33,17 @@ def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
     return out
 
 
-@cache
-def _default_labels(dim: int) -> tuple[str, ...]:
-    return tuple(str(k) for k in range(dim))
-
-
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitude vector over a labeled basis.
-
-    ``labels`` names the basis states; labels within one space are unique,
-    and tensor products concatenate them lexicographically in factor order.
-    """
+    """Complex amplitude vector over the computational basis."""
 
     amplitudes: np.ndarray
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         amps = _frozen(np.asarray(self.amplitudes).reshape(-1))
         if amps.size == 0:
             raise ValueError("state vector must have positive dimension")
         object.__setattr__(self, "amplitudes", amps)
-        labels = tuple(self.labels) if self.labels else _default_labels(amps.size)
-        if len(labels) != amps.size:
-            raise ValueError(f"{len(labels)} labels for dimension {amps.size}")
-        if len(set(labels)) != len(labels):
-            raise ValueError("basis labels must be unique")
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -77,10 +61,7 @@ class StateVector:
         n = self.norm
         if not 0.0 < n < np.inf:  # a zero, infinite or NaN norm
             raise ValueError(f"cannot normalize a vector of norm {n}")
-        return StateVector(self.amplitudes / n, self.labels)
-
-    def amplitude(self, label: str) -> complex:
-        return complex(self.amplitudes[self.labels.index(label)])
+        return StateVector(self.amplitudes / n)
 
 
 @dataclass(frozen=True)
@@ -250,19 +231,13 @@ def _groups(values: list[float]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _check_same_dim(a_dim: int, b_dim: int, what: str) -> None:
-    if a_dim != b_dim:
-        raise DimensionMismatchError(f"{what}: dimensions {a_dim} and {b_dim} differ")
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; labels concatenate lexicographically in factor order."""
-    amps = np.kron(a.amplitudes, b.amplitudes)
-    labels = tuple(f"{la}·{lb}" for la in a.labels for lb in b.labels)
-    return StateVector(amps, labels)
+    """Tensor product; basis index i*b.dim + j is a's state i with b's state j."""
+    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
-    _check_same_dim(a.dim, b.dim, "inner")
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"inner: dimensions {a.dim} and {b.dim} differ")
     return complex(np.vdot(a.amplitudes, b.amplitudes))

@@ -15,7 +15,7 @@ from math import ceil, comb, pi, sqrt
 import numpy as np
 
 from . import collective, hardy, pointer, prepost
-from .qcore import Observable, StateVector
+from .qcore import Observable, StateVector, inner
 
 EXPECTED_TABLE = {
     "N_minus_O": 1.0,
@@ -64,7 +64,7 @@ def check_weak_value_table() -> tuple[bool, str]:
 def check_postselection_probability() -> tuple[bool, str]:
     """O·O annihilated, detector total 1, and D+D- given no annihilation = p = 1/12."""
     sc = hardy.build()
-    survived = abs(sc.ensemble.pre.amplitude("O·O"))
+    survived = abs(inner(hardy.postselection_variants()["O_O"], sc.ensemble.pre))
     if not survived <= 1e-12:
         return False, f"annihilated O·O amplitude {survived:.2e} survived pre-selection"
     stats = hardy.detector_statistics(sc)

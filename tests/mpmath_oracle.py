@@ -162,8 +162,6 @@ def density_grid(spec: CollectiveSpec,
     (double precision garbles the signed sums well before N = 25), then
     rescaled so the trapezoid integral over the grid is 1.
     """
-    if spec.n_pairs < 1:
-        raise ValueError("density_grid requires n_pairs >= 1")
     a0, a1 = (float(e) for e in spec.observable.eigenvalues)
     shifts = spec.g * (spec.n_pairs * a0 + (a1 - a0) * np.arange(spec.n_pairs + 1))
     span = float(np.max(np.abs(shifts))) + SAMPLE_GRID_PADDING * spec.delta
@@ -185,23 +183,12 @@ def collective_pointer_stats(spec: CollectiveSpec) -> CollectiveStats:
     eats into the safety margin.  A single-term mixture (one certain branch)
     short-circuits to the exact Gaussian answer.
     """
-    if spec.n_pairs < 1:
-        raise ValueError("collective_pointer_stats requires n_pairs >= 1")
-    warnings: tuple[str, ...] = ()
-    if not spec.in_regime:
-        warnings = (
-            f"delta={spec.delta:g} below collective weak-regime scale "
-            f"g*sqrt(N)={spec.g * math.sqrt(spec.n_pairs):g}; "
-            "results describe a strong measurement",
-        )
-
     alpha0, alpha1 = spec.alphas
     a0, a1 = (float(e) for e in spec.observable.eigenvalues)
     if alpha0 == 0 or alpha1 == 0:
         eig = a1 if alpha0 == 0 else a0
         center = spec.g * spec.n_pairs * eig
-        return CollectiveStats(mean=center, mode=center,
-                               spread=spec.delta / 2.0, warnings=warnings)
+        return CollectiveStats(mean=center, mode=center, spread=spec.delta / 2.0)
 
     dps = _required_dps(spec)
     for _ in range(4):
@@ -220,6 +207,5 @@ def collective_pointer_stats(spec: CollectiveSpec) -> CollectiveStats:
             mean = mp.mpf(spec.g) * spec.n_pairs * a0 + bshift * t1
             var = bshift**2 * (t2 - t1**2) + mp.mpf(spec.delta) ** 2 / 4
             mode = _mode_search(spec)
-            return CollectiveStats(mean=float(mean), mode=mode,
-                                   spread=float(mp.sqrt(var)), warnings=warnings)
+            return CollectiveStats(mean=float(mean), mode=mode, spread=float(mp.sqrt(var)))
     raise ArithmeticError("could not reach a stable working precision")

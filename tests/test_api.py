@@ -65,6 +65,9 @@ def test_every_public_name_resolves():
 def test_value_type_fields():
     assert field_names(weakmeas.WeakValue) == ("value",)
     assert field_names(weakmeas.Observable) == ("matrix", "eigenvalues", "projectors")
+    assert field_names(weakmeas.StateVector) == ("amplitudes",)
+    assert field_names(weakmeas.ReadingSample) == ("readings",)
+    assert field_names(weakmeas.CollectiveStats) == ("mean", "mode", "spread")
 
 
 def test_hardy_scenario_surface():

@@ -89,6 +89,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             make_spec(scenario, n=-1)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), float("inf")])
+    def test_n_pairs_must_be_an_integer_at_least_one(self, scenario, n):
+        with pytest.raises(ValueError, match=f"n_pairs must be an integer >= 1, got {n}"):
+            make_spec(scenario, n=n)
+
     def test_regime_flag(self, scenario):
         assert make_spec(scenario, n=4, g=0.1, delta=1.0).in_regime
         assert not make_spec(scenario, n=400, g=0.1, delta=1.0).in_regime
@@ -135,10 +140,9 @@ class TestMixture:
             assert brute.coefficients[k] == pytest.approx(cm.coefficients[k], abs=1e-10)
 
     def test_zero_pairs_rejected(self, scenario):
-        with pytest.raises(ValueError, match="n_pairs >= 1"):
-            collective_pointer_stats(make_spec(scenario, n=0))
-        with pytest.raises(ValueError, match="n_pairs >= 1"):
-            density_grid(make_spec(scenario, n=0))
+        # judged once, by the spec, before any statistic or density is asked for
+        with pytest.raises(ValueError, match="n_pairs must be an integer >= 1"):
+            make_spec(scenario, n=0)
 
 
 class TestWeakValue:
@@ -159,10 +163,18 @@ class TestSuccessProbability:
             1.0 / 12.0, abs=1e-12)
         assert success_probability(make_spec(scenario, n=2)) == pytest.approx(
             1.0 / 144.0, abs=1e-14)
-        assert success_probability(make_spec(scenario, n=0)) == 1.0
 
     def test_exponentially_small(self, scenario):
         assert success_probability(make_spec(scenario, n=100)) < 1e-100
+
+    @pytest.mark.parametrize("n", [1, 10**12, 10**15])
+    def test_never_above_one(self, n):
+        # |<post|pre>| = 1 + 5e-13 passes the normalisation tolerance; its 2N-th
+        # power reached 1.000000000001, e, and inf at these N
+        state = StateVector(np.array([1.0 + 2.5e-13, 0.0], dtype=complex))
+        spec = CollectiveSpec(PrePostEnsemble(state, state), diagonal([0.0, 1.0]),
+                              n_pairs=n, g=0.05, delta=1.0)
+        assert success_probability(spec) == 1.0
 
 
 class TestPointerStats:
@@ -190,7 +202,7 @@ class TestPointerStats:
     def test_single_pair_strong_regime_recovers_abl(self, scenario):
         spec = make_spec(scenario, n=1, g=20.0, delta=1.0)
         stats = collective_pointer_stats(spec)
-        assert stats.warnings  # strong coupling flagged, computation still runs
+        assert not spec.in_regime  # strong coupling flagged, computation still runs
         pm = binomial_mixture(spec)
         assert pointer.window_mass(pm, -2.0, 2.0) == pytest.approx(0.8, abs=1e-3)
         assert pointer.window_mass(pm, 18.0, 22.0) == pytest.approx(0.2, abs=1e-3)
@@ -210,7 +222,7 @@ class TestPointerStats:
         spec = make_spec(scenario, n=n, g=1.0, delta=5.0 * sqrt(n))
         stats = collective_pointer_stats(spec)
         assert abs(stats.mean + n) <= sqrt(n)
-        assert not stats.warnings
+        assert spec.in_regime
 
     def test_small_n_matches_double_precision_pointer(self, scenario):
         # below the cancellation wall both routes are valid: they must agree
@@ -260,7 +272,6 @@ def assert_matches_oracle(spec):
     assert fast.mean == pytest.approx(slow.mean, abs=1e-9)
     assert fast.spread == pytest.approx(slow.spread, abs=1e-9)
     assert fast.mode == pytest.approx(slow.mode, abs=MODE_TOL_FACTOR * spec.delta)
-    assert fast.warnings == slow.warnings
 
 
 class TestAgainstMpmathOracle:

@@ -3,10 +3,13 @@
 The JSON documents under ``golden/`` were written by the position-space
 mpmath implementation of the collective statistics; the CSV tables and the
 ``--no-interaction`` document were recorded later, before ``hardy`` began to
-return plain dicts.  Every document except ``collective`` must be reproduced
-byte for byte; ``collective`` now comes from a different quadrature, so its
-mean and spread are compared to 1e-9 and every other field, the mode
-included, exactly.
+return plain dicts, and the three ``collective-*`` documents (the
+out-of-regime warning, the exact single-branch case and the ``density_grid``
+table) before the value types below ``hardy`` lost their unread fields.
+Every document except ``collective.json`` must be reproduced byte for byte;
+``collective.json`` now comes from a different quadrature, so its mean and
+spread are compared to 1e-9 and every other field, the mode included,
+exactly.
 """
 
 import json
@@ -36,6 +39,11 @@ def cli_stdout(argv, capsys):
     ("weak-measure-pdf.csv", ["weak-measure", "--observable", "N_pair_NO_NO", "--seed", "7",
                               "--trials", "10", "--pdf-points", "64", "--format", "csv"]),
     ("verify.json", ["verify"]),
+    ("collective-strong.json", ["collective", "--n-pairs", "100", "--c", "0.5"]),
+    ("collective-single-branch.json", ["collective", "--observable", "N_pair_O_O",
+                                       "--n-pairs", "10"]),
+    ("collective-pdf.csv", ["collective", "--n-pairs", "25", "--c", "1",
+                            "--pdf-points", "256", "--format", "csv"]),
 ])
 def test_document_is_byte_identical(name, argv, capsys):
     expected = (GOLDEN / name).read_text(encoding="utf-8")

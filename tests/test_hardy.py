@@ -25,13 +25,16 @@ EXPECTED_TABLE = {
 
 class TestBuild:
     def test_preselected_amplitudes(self, scenario):
-        assert scenario.ensemble.pre.labels == ("NO·NO", "NO·O", "O·NO", "O·O")
+        # the product basis, positron arm more significant
+        assert [f"{p}·{e}" for p in hardy.ARMS for e in hardy.ARMS] == [
+            "NO·NO", "NO·O", "O·NO", "O·O"]
+        assert scenario.ensemble.pre.dim == 4
         np.testing.assert_allclose(
             scenario.ensemble.pre.amplitudes,
             np.array([1, 1, 1, 0]) / SQRT3, atol=1e-15)
 
     def test_annihilated_branch_removed(self, scenario):
-        assert scenario.ensemble.pre.amplitude("O·O") == 0.0
+        assert scenario.ensemble.pre.amplitudes[3] == 0.0  # O·O, last in the basis
 
     def test_postselected_amplitudes(self, scenario):
         np.testing.assert_allclose(
@@ -60,7 +63,7 @@ class TestBuild:
     def test_observables_match_the_tensor_construction(self, scenario):
         # the singles as identity (x) arm projector, the pairs as the diagonal
         # of the singles' products: the same bytes as the arm-table build
-        arm = {a: StateVector(np.eye(2, dtype=complex)[k], hardy.ARMS)
+        arm = {a: StateVector(np.eye(2, dtype=complex)[k])
                for k, a in enumerate(hardy.ARMS)}
         ident = identity(2)
         oracle = {}
@@ -205,14 +208,14 @@ class TestPostselectionVariants:
             assert abs(ens.overlap) > 0.1
 
     def test_states_are_the_port_products(self):
-        c = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), hardy.ARMS)
-        d = StateVector(np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0), hardy.ARMS)
-        o = StateVector(np.array([0.0, 1.0], dtype=complex), hardy.ARMS)
+        c = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+        d = StateVector(np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0))
+        o = StateVector(np.array([0.0, 1.0], dtype=complex))
         expected = {"C_plus_C_minus": tensor(c, c), "C_plus_D_minus": tensor(c, d),
                     "D_plus_C_minus": tensor(d, c), "D_plus_D_minus": tensor(d, d),
                     "O_O": tensor(o, o)}
         variants = hardy.postselection_variants()
         assert sorted(variants) == sorted(expected)
         for key, state in expected.items():
-            assert variants[key].labels == state.labels
+            assert variants[key].dim == state.dim
             assert variants[key].amplitudes.tobytes() == state.amplitudes.tobytes(), key

@@ -388,14 +388,13 @@ class TestSampling:
     @pytest.mark.parametrize("g", [0.05, 0.013, 1.0])
     def test_estimate_bits_match_mean_and_std(self, n, g):
         readings = np.random.default_rng(n).normal(0.03, 0.7, n)
-        est = estimate(ReadingSample(readings, seed=1, trials=n), g)
+        est = estimate(ReadingSample(readings), g)
         per_trial = readings / g
         assert est.estimate == float(per_trial.mean())
         assert est.stderr == float(per_trial.std(ddof=1) / np.sqrt(n))
 
     def test_estimate_keeps_one_reading_sized_temporary(self):
-        reading = ReadingSample(np.random.default_rng(1).normal(0.0, 1.0, 10**6),
-                                seed=1, trials=10**6)
+        reading = ReadingSample(np.random.default_rng(1).normal(0.0, 1.0, 10**6))
         estimate(reading, 0.05)
         tracemalloc.start()
         try:
@@ -408,7 +407,7 @@ class TestSampling:
     @pytest.mark.parametrize("g", [0.0, -1.0, np.nan, np.inf])
     def test_estimate_rejects_non_finite_or_non_positive_g(self, g):
         # NaN used to slip past a bare g <= 0 check (estimate NaN), inf gave 0.0
-        reading = ReadingSample(np.ones(4), seed=1, trials=4)
+        reading = ReadingSample(np.ones(4))
         with pytest.raises(ValueError, match=f"g must be finite and positive, got {g}"):
             estimate(reading, g)
 
@@ -448,7 +447,7 @@ class TestSampling:
 
     def test_caller_array_is_copied(self):
         own = np.array([0.5, -1.0, 2.0])
-        reading = ReadingSample(own, seed=1, trials=3)
+        reading = ReadingSample(own)
         own[0] = 99.0
         assert own.flags.writeable
         assert reading.readings.tolist() == [0.5, -1.0, 2.0]

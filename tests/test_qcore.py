@@ -35,8 +35,8 @@ def hardy_post():
 
 
 def apply(a: Observable, s: StateVector) -> StateVector:
-    """A|s>, labels kept."""
-    return StateVector(a.matrix @ s.amplitudes, s.labels)
+    """A|s>."""
+    return StateVector(a.matrix @ s.amplitudes)
 
 
 def expectation(a: Observable, s: StateVector) -> float:
@@ -71,10 +71,6 @@ class TestStateVector:
         with pytest.raises(ValueError, match=f"^cannot normalize a vector of norm {norm}$"):
             StateVector(np.array(amps, dtype=complex)).normalized()
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            StateVector(np.array([1, 0], dtype=complex), ("a", "a"))
-
     def test_immutable(self):
         s = StateVector(np.array([1, 0], dtype=complex))
         with pytest.raises(ValueError):
@@ -92,10 +88,11 @@ class TestTensor:
         out = tensor(plus, plus)
         np.testing.assert_allclose(out.amplitudes, np.full(4, 0.25 * 2), atol=1e-15)
 
-    def test_label_order_is_lexicographic(self):
-        a = StateVector(np.array([1, 0], dtype=complex), ("x", "y"))
-        b = StateVector(np.array([1, 0, 0], dtype=complex), ("0", "1", "2"))
-        assert tensor(a, b).labels == ("x·0", "x·1", "x·2", "y·0", "y·1", "y·2")
+    def test_first_factor_is_more_significant(self):
+        a = StateVector(np.array([1, 10], dtype=complex))
+        b = StateVector(np.array([1, 2, 3], dtype=complex))
+        # basis index i*3 + j holds a_i * b_j: (x·0, x·1, x·2, y·0, y·1, y·2)
+        assert tensor(a, b).amplitudes.tolist() == [1, 2, 3, 10, 20, 30]
 
     @given(nonzero_state(2), nonzero_state(3))
     def test_norm_multiplicative(self, a, b):

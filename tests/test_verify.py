@@ -133,7 +133,7 @@ NAN = math.nan
     (9, pointer, "simultaneous", {1}, lambda out: [out[0], NAN, *out[2:]]),
     # the N = 100 collective mean
     (10, collective, "collective_pointer_stats", {2},
-     lambda out: collective.CollectiveStats(NAN, out.mode, out.spread, out.warnings)),
+     lambda out: collective.CollectiveStats(NAN, out.mode, out.spread)),
 ], ids=["c1-weak_value_table", "c3-certainty_check", "c4-weak_value_table", "c5-weak_value",
         "c6-position_mean",
         "c7-window_mass", "c8-estimate", "c8-ks_pvalue", "c9-simultaneous",
@@ -190,8 +190,8 @@ def test_identity_chain_fails_when_the_direct_table_disagrees(monkeypatch):
 def _with_pre_oo(s, amplitude):
     """The scenario with an O·O amplitude left in the pre-selected state."""
     amps = np.array(s.ensemble.pre.amplitudes)
-    amps[s.ensemble.pre.labels.index("O·O")] = amplitude
-    pre = StateVector(amps, s.ensemble.pre.labels).normalized()
+    amps[3] = amplitude  # O·O, last in the product basis
+    pre = StateVector(amps).normalized()
     return dataclasses.replace(s, ensemble=prepost.PrePostEnsemble(pre, s.ensemble.post))
 
 
