@@ -358,14 +358,6 @@ def _render_csv(rows: list) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, output_path: str | None) -> None:
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="weakmeas",
                      description="pre/post-selected weak measurement simulations")
@@ -421,7 +413,15 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     if params["format"] == "csv":
         text = _render_csv(rows)
-    _emit(text, params["output_path"])
+    path = params["output_path"]
+    if path:
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"error: config: cannot write output file {path}: {exc}", file=sys.stderr)
+            return 2
+    else:
+        sys.stdout.write(text)
     if args.command == "verify" and warnings:
         return 1
     return 0

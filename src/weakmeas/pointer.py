@@ -117,6 +117,8 @@ class PointerMixture:
         shifts = np.array(self.shifts, dtype=float).reshape(-1)
         if coeffs.size != shifts.size or coeffs.size == 0:
             raise ValueError("need matching, non-empty coefficient and shift arrays")
+        if not (np.isfinite(coeffs).all() and np.isfinite(shifts).all()):
+            raise ValueError("mixture coefficients and shifts must be finite")
         check_delta(self.delta)
         if not np.any(np.abs(coeffs) > 0.0):
             raise AllBranchesVanishError("every mixture coefficient vanishes")
@@ -200,12 +202,17 @@ def momentum_mean(m: PointerMixture) -> float:
 
 @dataclass(frozen=True)
 class ReadingSample:
-    """Pointer readings drawn from the position density, held as a read-only copy."""
+    """Pointer readings drawn from the position density, held as a read-only copy.
+
+    There is at least one reading, and every reading is finite.
+    """
 
     readings: np.ndarray
 
     def __post_init__(self):
         readings = np.array(self.readings, dtype=float).reshape(-1)
+        if not (readings.size and np.isfinite(readings).all()):
+            raise ValueError("readings must be a non-empty array of finite numbers")
         readings.setflags(write=False)
         object.__setattr__(self, "readings", readings)
 
@@ -348,7 +355,7 @@ def simultaneous(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]
     rows = ens.post.amplitudes.conj()[None, :]
     branches = np.zeros((1, 0), dtype=np.intp)  # eigenvalue index t_m of each live branch
     for spec in specs:
-        stack = np.array(spec.observable.projectors)
+        stack = spec.observable.projectors
         k = len(stack)
         if len(rows) * k > MAX_JOINT_TERMS:
             raise UnsupportedConfigurationError(

@@ -2,12 +2,12 @@
 
 States are amplitude vectors over the computational basis (a tensor product
 orders its basis with the first factor more significant), observables are
-Hermitian matrices carrying their spectral decomposition (eigenvalues and
-orthogonal projectors).  Every observable the package builds comes from one
-route, the stacked Hermitian eigensolve of ``Observable._from_matrices``
-(``from_matrix`` is its stack of one).  Everything is immutable after
-construction and all spaces in scope are tiny (dim <= 16), so plain dense
-numpy arrays are used throughout.
+Hermitian matrices carrying their spectral decomposition (eigenvalues and one
+(k, d, d) stack of orthogonal projectors).  An observable has one constructor,
+``Observable.from_matrix``: the stacked Hermitian eigensolve of
+``Observable._from_matrices`` on a stack of one.  Everything is read-only
+after construction and all spaces in scope are tiny (dim <= 16), so plain
+dense numpy arrays are used throughout.
 
 Tolerances: Hermiticity and spectral identities are enforced at 1e-12
 absolute; degenerate eigenvalues are grouped at 1e-10, and a group's mean
@@ -27,12 +27,6 @@ EIG_GROUP_TOL = 1e-10
 _PAIR_BLOCK = 1 << 16  # complex entries of P_i P_j products held at once (1 MB)
 
 
-def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitude vector over the computational basis."""
@@ -40,9 +34,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen(np.asarray(self.amplitudes).reshape(-1))
+        amps = np.array(np.asarray(self.amplitudes).reshape(-1), dtype=complex)
         if amps.size == 0:
             raise ValueError("state vector must have positive dimension")
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -64,33 +59,19 @@ class StateVector:
         return StateVector(self.amplitudes / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Observable:
     """Hermitian operator with its spectral decomposition.
 
-    ``eigenvalues[i]`` pairs with ``projectors[i]``; the projector family is
-    orthogonal, complete and reconstructs ``matrix``.  Eigenvalues are stored
-    in ascending order with degeneracies merged into one projector.
+    ``eigenvalues[i]`` pairs with ``projectors[i]`` of the (k, d, d) stack;
+    the projector family is orthogonal, complete and reconstructs ``matrix``.
+    Eigenvalues are stored in ascending order with degeneracies merged into
+    one projector.  Built only by ``from_matrix``.
     """
 
     matrix: np.ndarray
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mat = _frozen(np.asarray(self.matrix))
-        evals = tuple(map(float, self.eigenvalues))
-        try:
-            stack = _frozen(self.projectors)
-        except ValueError:  # a ragged family: its (k, 0) stand-in fails the shape check
-            stack = np.empty((len(self.projectors), 0))
-        _check_families(mat[None], np.array([evals]), stack[None])
-        self._set(mat, evals, tuple(stack))
-
-    def _set(self, matrix, eigenvalues, projectors) -> None:
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "projectors", projectors)
+    projectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -158,9 +139,11 @@ class Observable:
         recon.setflags(write=False)
         stack.setflags(write=False)
         _check_families(recon, evals, stack)
-        out = [object.__new__(cls) for _ in range(len(mats))]
-        for obs, mat, row, family in zip(out, recon, evals.tolist(), stack):
-            obs._set(mat, tuple(row), tuple(family))
+        out = []
+        for mat, row, family in zip(recon, evals.tolist(), stack):
+            obs = object.__new__(cls)
+            vars(obs).update(matrix=mat, eigenvalues=tuple(row), projectors=family)
+            out.append(obs)
         return out
 
 
@@ -184,15 +167,12 @@ def _check_families(mat: np.ndarray, evals: np.ndarray, stack: np.ndarray) -> No
     stack[m]) of shapes (d, d), (k,) and (k, d, d).
 
     Raises the ValueError of the first check that some member fails, so a
-    batch with one bad member fails as that member would alone.  A shape
-    fault is one of the whole batch, since the batch is one array.
+    batch with one bad member fails as that member would alone.  The shapes
+    are not checked: the one caller, ``_from_eigh``, passes the (n, k, d, d)
+    projectors of an eigensolve with k >= 1.
     """
     _check_matrices(mat)
     n, k = evals.shape
-    if stack.shape[1] != k or not k:
-        raise ValueError("need one projector per eigenvalue")
-    if stack.shape[2:] != mat.shape[1:]:
-        raise ValueError(f"every projector must have the matrix shape {mat.shape[1:]}")
     dim = mat.shape[1]
     if not np.abs(stack.sum(axis=1) - np.eye(dim)).max() <= ATOL:
         raise ValueError("projectors do not sum to the identity")

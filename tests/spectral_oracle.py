@@ -5,6 +5,9 @@ time, and ``pairwise_from_matrix`` the eigensolver route one matrix at a
 time.  The stacked checks and the batched build in ``qcore`` must agree
 with them: same verdicts, same messages, bit-identical arrays.
 
+``observable`` builds an ``Observable`` from a given spectral family, as its
+removed dataclass constructor did: ``qcore._check_families`` judges the
+family as a batch of one, so its verdicts and messages are the library's.
 ``from_projectors``, ``diagonal``, ``identity``, ``projector`` and
 ``op_tensor`` build observables the constructive way (from an
 eigenvalue/projector family, a diagonal, the identity, a rank-1 projector,
@@ -16,7 +19,21 @@ eigensolver route keeps the group's mean: the two agree on exact ties.
 
 import numpy as np
 
+from weakmeas import qcore
 from weakmeas.qcore import ATOL, EIG_GROUP_TOL, Observable, StateVector
+
+
+def observable(matrix, eigenvalues, projectors) -> Observable:
+    """A read-only ``Observable`` of the family, checked as a batch of one."""
+    mat = np.array(np.asarray(matrix), dtype=complex)
+    evals = tuple(map(float, eigenvalues))
+    stack = np.array(projectors, dtype=complex)
+    qcore._check_families(mat[None], np.array([evals]), stack[None])
+    mat.setflags(write=False)
+    stack.setflags(write=False)
+    obs = object.__new__(Observable)
+    vars(obs).update(matrix=mat, eigenvalues=evals, projectors=stack)
+    return obs
 
 
 def from_projectors(eigenvalues, projectors) -> Observable:
@@ -33,7 +50,7 @@ def from_projectors(eigenvalues, projectors) -> Observable:
         pairs.append((values[k], sum(projs[k + 1:j + 1], projs[k])))
         k = j + 1
     mat = sum(a * p for a, p in pairs)
-    return Observable(mat, tuple(a for a, _ in pairs), tuple(p for _, p in pairs))
+    return observable(mat, [a for a, _ in pairs], [p for _, p in pairs])
 
 
 def diagonal(entries) -> Observable:
@@ -44,7 +61,7 @@ def diagonal(entries) -> Observable:
 
 
 def identity(dim: int) -> Observable:
-    return Observable(np.eye(dim, dtype=complex), (1.0,), (np.eye(dim, dtype=complex),))
+    return observable(np.eye(dim), (1.0,), (np.eye(dim),))
 
 
 def projector(s: StateVector) -> Observable:
@@ -53,9 +70,9 @@ def projector(s: StateVector) -> Observable:
         raise ValueError("projector requires a normalized state")
     p = np.outer(s.amplitudes, s.amplitudes.conj())
     if s.dim == 1:
-        return Observable(p, (1.0,), (p,))
+        return observable(p, (1.0,), (p,))
     comp = np.eye(s.dim, dtype=complex) - p
-    return Observable(p, (0.0, 1.0), (comp, p))
+    return observable(p, (0.0, 1.0), (comp, p))
 
 
 def op_tensor(a: Observable, b: Observable) -> Observable:

@@ -3,6 +3,9 @@
 import dataclasses
 import inspect
 
+import numpy as np
+import pytest
+
 import weakmeas
 from weakmeas import hardy
 from weakmeas.prepost import certainty_check
@@ -90,3 +93,15 @@ def test_observable_has_one_public_constructor():
     public = tuple(name for name, attr in vars(weakmeas.Observable).items()
                    if isinstance(attr, classmethod) and not name.startswith("_"))
     assert public == ("from_matrix",)
+
+
+def test_observable_has_no_dataclass_constructor():
+    with pytest.raises(TypeError):
+        weakmeas.Observable(np.eye(2), (1.0,), (np.eye(2),))
+
+
+def test_observable_projectors_are_one_read_only_stack():
+    projectors = weakmeas.Observable.from_matrix(np.diag([0.0, 1.0])).projectors
+    assert isinstance(projectors, np.ndarray)
+    assert projectors.shape == (2, 2, 2)
+    assert not projectors.flags.writeable

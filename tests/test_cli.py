@@ -401,6 +401,15 @@ class TestOutputPath:
         doc = json.loads(out_file.read_text())
         jsonschema.validate(doc, result_schema())
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_path_exits_2(self, where, tmp_path, capsys):
+        path = tmp_path / "missing" / "doc.json" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(["hardy-table", "--output-path", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: config: cannot write output file {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestEntryPoint:
     def test_cold_import_skips_heavy_modules(self):

@@ -237,6 +237,18 @@ class TestMixture:
         with pytest.raises(AllBranchesVanishError):
             PointerMixture(np.zeros(2, dtype=complex), np.array([0.0, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("coefficients, shifts", [
+        ([1.0, np.nan], [0.0, 1.0]),
+        ([np.nan], [0.0]),
+        ([1.0, complex(0.0, np.inf)], [0.0, 1.0]),
+        ([1.0, 0.5], [0.0, np.inf]),
+        ([1.0, 0.5], [np.nan, 1.0]),
+    ], ids=["nan-coefficient", "nan-alone", "inf-coefficient", "inf-shift", "nan-shift"])
+    def test_non_finite_terms_rejected(self, coefficients, shifts):
+        # these gave a NaN mean, a subtract warning, or a vanishing-branches error
+        with pytest.raises(ValueError, match="^mixture coefficients and shifts must be finite$"):
+            PointerMixture(coefficients, shifts, 1.0)
+
 
 class TestPositionDensity:
     def test_single_term_gaussian(self):
@@ -452,6 +464,13 @@ class TestSampling:
         assert own.flags.writeable
         assert reading.readings.tolist() == [0.5, -1.0, 2.0]
         assert not reading.readings.flags.writeable
+
+    @pytest.mark.parametrize("readings", [[], [np.nan, 1.0], [0.0, np.inf], [-np.inf]],
+                             ids=["empty", "nan", "inf", "minus-inf"])
+    def test_empty_or_non_finite_readings_rejected(self, readings):
+        # an empty sample used to estimate NaN with a zero error bar
+        with pytest.raises(ValueError, match="^readings must be a non-empty array of finite"):
+            ReadingSample(np.array(readings))
 
 
 class TestSamplerAgainstInterp:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from spectral_oracle import diagonal, identity
+from spectral_oracle import diagonal, identity, observable
 
 from weakmeas.errors import DegenerateEnsembleError, DimensionMismatchError
 from weakmeas.prepost import (
@@ -110,7 +110,7 @@ class TestWeakValue:
             total = 0.0 + 0.0j
             for p in obs.projectors:
                 comp = np.eye(dim, dtype=complex) - p
-                wrapped = Observable(p, (0.0, 1.0), (comp, p))
+                wrapped = observable(p, (0.0, 1.0), (comp, p))
                 total += weak_value(wrapped, ens).value
             assert total == pytest.approx(1.0, abs=1e-12)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
-from spectral_oracle import pairwise_from_matrix
+from spectral_oracle import observable, pairwise_from_matrix
 
 import weakmeas
 from weakmeas import collective, hardy, pointer, prepost, verify
@@ -70,9 +70,9 @@ def additivity_loop() -> list[float]:
     for _ in range(verify.ADDITIVITY_TRIALS):
         dim = int(rng.integers(2, 7))
         ens = verify._random_ensemble(rng, dim)
-        a = Observable(*pairwise_from_matrix(verify._random_hermitian(rng, dim)))
-        b = Observable(*pairwise_from_matrix(verify._random_hermitian(rng, dim)))
-        ab = Observable(*pairwise_from_matrix(a.matrix + b.matrix))
+        a = observable(*pairwise_from_matrix(verify._random_hermitian(rng, dim)))
+        b = observable(*pairwise_from_matrix(verify._random_hermitian(rng, dim)))
+        ab = observable(*pairwise_from_matrix(a.matrix + b.matrix))
         lhs = prepost.weak_value(ab, ens).value
         rhs = prepost.weak_value(a, ens).value + prepost.weak_value(b, ens).value
         errs.append(abs(lhs - rhs))
