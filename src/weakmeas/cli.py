@@ -7,8 +7,9 @@ criteria carry no ``elapsed_ms``) unless ``--timing`` is passed, and all
 Monte Carlo commands require an explicit seed.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error (any
-``ValueError``: the library judges each parameter's range), 3 computation
-error (a ``WeakMeasError`` or float overflow).  Errors print a single
+``ValueError``: the library judges each parameter's range; or an
+``--output-path`` that cannot be written), 3 computation error (a
+``WeakMeasError`` or float overflow).  Errors print a single
 machine-parsable line ``error: <kind>: <reason>`` on stderr.
 
 Parameters may also come from a flat key-value config file (``--config``):

@@ -1,13 +1,16 @@
 """The original per-matrix ``Observable`` construction, kept as a test oracle.
 
 ``pairwise_validate`` is the spectral-family check one projector pair at a
-time, and ``pairwise_from_matrix`` the eigensolver route one matrix at a
-time.  The stacked checks and the batched build in ``qcore`` must agree
-with them: same verdicts, same messages, bit-identical arrays.
+time (square and Hermitian matrix, one projector per eigenvalue,
+completeness, orthogonality, reconstruction, all at 1e-12), and
+``pairwise_from_matrix`` the eigensolver route one matrix at a time.  The
+library keeps no family check of its own: every family it builds comes from
+an eigensolve, and the batched build in ``qcore`` must agree with these
+routes: same accepted families, bit-identical arrays.
 
 ``observable`` builds an ``Observable`` from a given spectral family, as its
-removed dataclass constructor did: ``qcore._check_families`` judges the
-family as a batch of one, so its verdicts and messages are the library's.
+removed dataclass constructor did, after ``pairwise_validate`` has judged
+the family; its verdicts and messages are that oracle's.
 ``from_projectors``, ``diagonal``, ``identity``, ``projector`` and
 ``op_tensor`` build observables the constructive way (from an
 eigenvalue/projector family, a diagonal, the identity, a rank-1 projector,
@@ -19,16 +22,15 @@ eigensolver route keeps the group's mean: the two agree on exact ties.
 
 import numpy as np
 
-from weakmeas import qcore
 from weakmeas.qcore import ATOL, EIG_GROUP_TOL, Observable, StateVector
 
 
 def observable(matrix, eigenvalues, projectors) -> Observable:
-    """A read-only ``Observable`` of the family, checked as a batch of one."""
+    """A read-only ``Observable`` of the family, judged by ``pairwise_validate``."""
     mat = np.array(np.asarray(matrix), dtype=complex)
     evals = tuple(map(float, eigenvalues))
     stack = np.array(projectors, dtype=complex)
-    qcore._check_families(mat[None], np.array([evals]), stack[None])
+    pairwise_validate(mat, evals, stack)
     mat.setflags(write=False)
     stack.setflags(write=False)
     obs = object.__new__(Observable)
@@ -108,7 +110,11 @@ def pairwise_validate(matrix, eigenvalues, projectors) -> None:
 
 
 def pairwise_from_matrix(matrix):
-    """The original ``Observable.from_matrix``: (matrix, eigenvalues, projectors)."""
+    """The original ``Observable.from_matrix``: (matrix, eigenvalues, projectors).
+
+    Each projector is averaged with its adjoint, as in the library's grouped
+    branch: that makes a projector over two or more columns exactly Hermitian
+    and keeps the values of a one-column product, which already is."""
     mat = np.asarray(matrix, dtype=complex)
     evals, vecs = np.linalg.eigh(mat)
     pairs = []
@@ -118,7 +124,8 @@ def pairwise_from_matrix(matrix):
         while j + 1 < evals.size and evals[j + 1] - evals[k] <= EIG_GROUP_TOL:
             j += 1
         block = vecs[:, k:j + 1]
-        pairs.append((float(np.mean(evals[k:j + 1])), block @ block.conj().T))
+        proj = block @ block.conj().T
+        pairs.append((float(np.mean(evals[k:j + 1])), (proj + proj.conj().T) / 2))
         k = j + 1
     recon = sum(a * p for a, p in pairs)
     evs = tuple(a for a, _ in pairs)

@@ -17,7 +17,7 @@ from spectral_oracle import (
     projector,
 )
 
-from weakmeas import qcore, verify
+from weakmeas import verify
 from weakmeas.errors import DimensionMismatchError
 from weakmeas.qcore import Observable, StateVector, inner, tensor
 
@@ -190,11 +190,8 @@ class TestObservable:
             Observable.from_matrix(matrix)
 
     def test_rejects_zero_dimension(self):
-        message = "^observable matrix must have positive dimension$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="^observable matrix must have positive dimension$"):
             Observable.from_matrix(np.zeros((0, 0)))
-        with pytest.raises(ValueError, match=message):
-            observable(np.zeros((0, 0)), (), ())
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_empty_stack_builds_no_observables(self, dim):
@@ -265,7 +262,7 @@ def projector_from_matrix(p: np.ndarray) -> Observable:
 
 
 # ---------------------------------------------------------------------------
-# The stacked spectral-family check against the pairwise loop it replaced
+# The stacked eigensolve build against the pairwise oracle
 # ---------------------------------------------------------------------------
 
 def outcome(validate, *args) -> str | None:
@@ -275,26 +272,6 @@ def outcome(validate, *args) -> str | None:
     except ValueError as exc:
         return str(exc)
     return None
-
-
-def batch_validate(matrix, eigenvalues, projectors) -> None:
-    """The stacked check on the batch [valid, family, valid].
-
-    The valid member is a diagonal family of the same shapes.  A family with
-    a shape fault has no valid neighbour, so it is checked as [family] * 3.
-    """
-    family = (np.asarray(matrix, dtype=complex), np.asarray(eigenvalues, dtype=float),
-              np.asarray(projectors, dtype=complex))
-    members = [family] * 3
-    mat, evals, stack = family
-    dim, k = mat.shape[0], evals.size
-    if mat.shape == (dim, dim) and stack.shape == (k, dim, dim) and 1 <= k <= dim:
-        projs = np.array([np.diag(np.isin(np.arange(dim), g)) for g in
-                          np.array_split(np.arange(dim), k)], dtype=complex)
-        vals = np.arange(k, dtype=float)
-        valid = ((vals[:, None, None] * projs).sum(axis=0), vals, projs)
-        members = [valid, family, valid]
-    qcore._check_families(*(np.array(part) for part in zip(*members)))
 
 
 def _random_hermitian(rng, dim):
@@ -360,18 +337,11 @@ def _perturbed(obs: Observable, eps: float):
     return obs.matrix, obs.eigenvalues, projs
 
 
-@pytest.fixture(params=[None, 1], ids=["one-block", "row-blocks"])
-def pair_block(request, monkeypatch):
-    """Run each family in one block of pairs and again one row i at a time."""
-    if request.param is not None:
-        monkeypatch.setattr(qcore, "_PAIR_BLOCK", request.param)
-
-
 class TestStackedValidation:
     @pytest.mark.parametrize("name, obs", FAMILIES, ids=[n for n, _ in FAMILIES])
-    def test_same_verdicts_as_pairwise(self, name, obs, pair_block):
+    def test_same_verdicts_as_pairwise(self, name, obs):
         family = (obs.matrix, obs.eigenvalues, obs.projectors)
-        for validate in (pairwise_validate, observable, batch_validate):
+        for validate in (pairwise_validate, observable):
             assert outcome(validate, *family) is None
             for eps, expected in ((1e-14, None),
                                   (1e-9, "projectors do not sum to the identity")):
@@ -394,9 +364,8 @@ class TestStackedValidation:
          "spectral reconstruction does not match matrix"),
     ], ids=["square", "hermitian", "complete", "orthogonal", "orthogonal-row-1",
             "reconstruction"])
-    def test_rejection_messages(self, args, message, pair_block):
-        # the batch check names the one bad member's fault as the single check does
-        for validate in (pairwise_validate, observable, batch_validate):
+    def test_rejection_messages(self, args, message):
+        for validate in (pairwise_validate, observable):
             assert outcome(validate, *args) == message
 
     def test_projectors_are_read_only(self):
@@ -405,30 +374,16 @@ class TestStackedValidation:
             obs.projectors[0][0, 0] = 5.0
 
     def test_pairwise_products_stay_in_bounded_blocks(self):
-        # 32 one-dim projectors of dim 32: all 1024 products at once peak near 27 MB
-        diagonal(np.arange(32.0))
+        # the library's 32-dim path: 32 one-dim projectors of dim 32 peak near
+        # 1.2 MB; all 1024 pair products at once would peak near 27 MB
+        Observable.from_matrix(np.diag(np.arange(32.0)))
         tracemalloc.start()
         try:
-            diagonal(np.arange(32.0))
+            Observable.from_matrix(np.diag(np.arange(32.0)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 12e6
-
-    def test_batch_products_stay_in_bounded_blocks(self):
-        # 600 dim-6 families: all 777,600 pair products at once peak near 21 MB
-        rng = np.random.default_rng(6)
-        built = Observable._from_matrices(np.array([_random_hermitian(rng, 6)
-                                                    for _ in range(600)]))
-        batch = tuple(np.array(part) for part in zip(
-            *((o.matrix, o.eigenvalues, o.projectors) for o in built)))
-        tracemalloc.start()
-        try:
-            qcore._check_families(*batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
 
     @staticmethod
     def assert_bit_identical(obs, h):
@@ -475,19 +430,6 @@ class TestStackedValidation:
             assert all(p.tobytes() == q.tobytes()
                        for p, q in zip(obs.projectors, single.projectors, strict=True))
 
-    def test_batch_is_checked_once_per_grouping(self, monkeypatch):
-        calls = []
-        real = qcore._check_families
-        monkeypatch.setattr(qcore, "_check_families", lambda *a: calls.append(a) or real(*a))
-        rng = np.random.default_rng(10)
-        batch = np.array([_random_hermitian(rng, 3), self.near_degenerate(),
-                          _random_hermitian(rng, 3), _random_hermitian(rng, 3)])
-        Observable._from_matrices(batch)
-        assert [len(mat) for mat, _, _ in calls] == [3, 1]
-        calls.clear()
-        verify._additivity_triples()
-        assert len(calls) == 10  # A and B, then A + B, for each dimension 2-6
-
     def test_batch_members_are_read_only(self):
         for obs in Observable._from_matrices(np.array([np.eye(2), np.diag([1.0, 2.0])])):
             for arr in (obs.matrix, *obs.projectors):
@@ -495,26 +437,82 @@ class TestStackedValidation:
                     arr[0, 0] = 5.0
 
 
+@st.composite
+def hermitian_stacks(draw):
+    """1-4 exactly Hermitian d x d matrices, d from 1 to 8, scale 1e-3 to 1e5;
+    each spectrum may hold an exact tie and a 5e-11 near-tie."""
+    dim = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.floats(-3.0, 5.0))
+    ties = draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for tie, near_tie in ties:
+        values = scale * rng.uniform(-1.0, 1.0, dim)
+        if tie and dim >= 2:
+            values[1] = values[0]
+        if near_tie and dim >= 3:
+            values[2] = values[0] + 5e-11
+        u = np.linalg.qr(rng.standard_normal((dim, dim))
+                         + 1j * rng.standard_normal((dim, dim)))[0]
+        h = u @ np.diag(values) @ u.conj().T
+        out.append((h + h.conj().T) / 2.0)
+    return np.array(out)
+
+
+class TestEigensolveAccuracy:
+    """``from_matrix`` judges only its input and the eigensolve's accuracy;
+    the families it builds are judged here by the pairwise oracle."""
+
+    @given(hermitian_stacks())
+    def test_built_families_pass_the_pairwise_oracle(self, stack):
+        built = Observable._from_matrices(stack)
+        for obs, h in zip(built, stack, strict=True):
+            # pairwise_validate compares with >, so it would let NaN through
+            assert np.isfinite(obs.matrix).all() and np.isfinite(obs.projectors).all()
+            assert np.isfinite(obs.eigenvalues).all()
+            pairwise_validate(obs.matrix, obs.eigenvalues, obs.projectors)
+            single = Observable.from_matrix(h)
+            assert obs.matrix.tobytes() == single.matrix.tobytes()
+            assert obs.eigenvalues == single.eigenvalues
+            assert obs.projectors.tobytes() == single.projectors.tobytes()
+
+    @staticmethod
+    def hermitian_4x4() -> np.ndarray:
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        return (g + g.conj().T) / 2.0
+
+    @pytest.mark.parametrize("shift", [False, True], ids=["scaled", "shifted"])
+    def test_large_norm_matrix_builds(self, shift):
+        # 1e7 h has eigenvalue gaps near 9e6 and an eigensolve good to 7e-16
+        # relative; an absolute 1e-9 reconstruction bound refused it, and 1e7 I + h
+        h = self.hermitian_4x4()
+        obs = Observable.from_matrix(1e7 * np.eye(4) + h if shift else 1e7 * h)
+        assert len(obs.eigenvalues) == 4
+        pairwise_validate(obs.matrix, obs.eigenvalues, obs.projectors)
+
+    def test_large_tied_eigenvalue_keeps_the_matrix_hermitian(self):
+        # a two-column projector product is Hermitian only to rounding, which
+        # the tied eigenvalue 1e5 scaled past 1e-12; the input itself is exact
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        h = u @ np.diag([1e5, 1e5, 3e5]) @ u.conj().T
+        obs = Observable.from_matrix((h + h.conj().T) / 2.0)
+        assert len(obs.eigenvalues) == 2
+        assert (obs.matrix == obs.matrix.conj().T).all()
+        assert (obs.projectors == obs.projectors.conj().transpose(0, 2, 1)).all()
+        pairwise_validate(obs.matrix, obs.eigenvalues, obs.projectors)
+
+    def test_overflowing_eigensolve_is_refused(self):
+        h = self.hermitian_4x4()
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"^eigensolve lost too much accuracy"):
+            Observable.from_matrix(h / np.abs(h).max() * 1.7e308)
+
+
 class TestNonFinite:
-    # every check is a max compared with a tolerance, and a NaN max compares False
-    P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_constructor_rejects_non_finite_matrix(self, bad):
-        with pytest.raises(ValueError, match="observable matrix is not finite"):
-            observable(np.full((2, 2), bad), (0.0, 1.0), (self.P0, self.P1))
-        with pytest.raises(ValueError, match="observable matrix is not finite"):
-            observable(np.diag([1.0, bad]), (0.0, 1.0), (self.P0, self.P1))
-
+    # the checks compare a max with a tolerance, and a NaN max compares False
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_from_matrix_rejects_non_finite_matrix(self, bad):
         with pytest.raises(ValueError, match="^observable matrix is not finite$"):
             Observable.from_matrix(np.diag([1.0, bad]))
-
-    def test_nan_eigenvalue_with_finite_projectors(self):
-        with pytest.raises(ValueError, match="spectral reconstruction does not match matrix"):
-            observable(np.diag([1.0, 0.0]), (1.0, np.nan), (self.P0, self.P1))
-
-    def test_nan_projector(self):
-        with pytest.raises(ValueError, match="projectors do not sum to the identity"):
-            observable(np.diag([1.0, 0.0]), (1.0, 0.0), (np.diag([1.0, np.nan]), self.P1))

@@ -4,6 +4,10 @@ The library raises no ``AssertionError`` and has no ``assert`` statement:
 the CLI maps neither to an exit code, so one would end a run in a traceback,
 and ``python -O`` strips asserts, so a check written as one would vanish.
 ``verify`` judges the facts, and the library raises typed errors.
+
+Every private name (one leading underscore) bound at module or class level
+is loaded or imported somewhere in the package, so a helper or constant
+whose last caller is gone does not linger.
 """
 
 import ast
@@ -32,3 +36,54 @@ def test_no_assert_and_no_assertion_error(path):
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 offences.append(f"line {node.lineno}: raise AssertionError")
     assert offences == []
+
+
+def private_definitions(body):
+    """Names with one leading underscore bound by ``body`` and its classes."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                names += private_definitions(node.body)
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+def dead_private_names(sources: list[str]) -> set[str]:
+    """Module- and class-level private names that no source loads or imports."""
+    trees = [ast.parse(text) for text in sources]
+    defined = {name for tree in trees for name in private_definitions(tree.body)}
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return defined - used
+
+
+def test_no_dead_private_names():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert dead_private_names(sources) == set()
+
+
+def test_dead_private_name_rule_sees_each_binding():
+    source = """
+_LIMIT = 1
+_used: int = 2
+def _helper(): return _used
+class C:
+    _KEY = 3
+    def _method(self): return self._other()
+    def _other(self): pass
+    def __repr__(self): pass
+"""
+    assert dead_private_names([source]) == {"_LIMIT", "_helper", "_KEY", "_method"}
+    assert dead_private_names([source, "from m import _LIMIT, _helper\nC._KEY"]) == {"_method"}
