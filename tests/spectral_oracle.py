@@ -8,9 +8,14 @@ library keeps no family check of its own: every family it builds comes from
 an eigensolve, and the batched build in ``qcore`` must agree with these
 routes: same accepted families, bit-identical arrays.
 
-``observable`` builds an ``Observable`` from a given spectral family, as its
-removed dataclass constructor did, after ``pairwise_validate`` has judged
-the family; its verdicts and messages are that oracle's.
+``stacked_validate`` is the same check on a batch of families at once, in
+bounded blocks of pair products: the validator the library ran on every
+build before it trusted its eigensolve, kept here and held to the pairwise
+verdicts.  ``observable`` builds an ``Observable`` from a given spectral
+family, as its removed dataclass constructor did, after ``stacked_validate``
+has judged the family as a batch of one: its verdicts and messages are
+``pairwise_validate``'s, and a NaN, which compares False with ``>``, is
+refused as well.
 ``from_projectors``, ``diagonal``, ``identity``, ``projector`` and
 ``op_tensor`` build observables the constructive way (from an
 eigenvalue/projector family, a diagonal, the identity, a rank-1 projector,
@@ -24,13 +29,15 @@ import numpy as np
 
 from weakmeas.qcore import ATOL, EIG_GROUP_TOL, Observable, StateVector
 
+PAIR_BLOCK = 1 << 16  # complex entries of P_i P_j products held at once (1 MB)
+
 
 def observable(matrix, eigenvalues, projectors) -> Observable:
-    """A read-only ``Observable`` of the family, judged by ``pairwise_validate``."""
+    """A read-only ``Observable`` of the family, checked as a batch of one."""
     mat = np.array(np.asarray(matrix), dtype=complex)
     evals = tuple(map(float, eigenvalues))
     stack = np.array(projectors, dtype=complex)
-    pairwise_validate(mat, evals, stack)
+    stacked_validate(mat[None], np.array([evals]), stack[None])
     mat.setflags(write=False)
     stack.setflags(write=False)
     obs = object.__new__(Observable)
@@ -106,6 +113,48 @@ def pairwise_validate(matrix, eigenvalues, projectors) -> None:
                 raise ValueError("projector family is not orthogonal")
     recon = sum(a * p for a, p in zip(evals, projs))
     if np.max(np.abs(recon - mat)) > ATOL:
+        raise ValueError("spectral reconstruction does not match matrix")
+
+
+def stacked_validate(mat, evals, stack) -> None:
+    """Check a batch of spectral families, member m being (mat[m], evals[m],
+    stack[m]) of shapes (d, d), (k,) and (k, d, d).
+
+    Raises the ValueError of the first check that some member fails, so a
+    batch with one bad member fails as that member would alone.  The shapes
+    of the eigenvalues and projectors are not checked.  Every check reads
+    not (deviation <= tol), so a NaN fails it.
+    """
+    if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
+        raise ValueError("observable matrix must be square")
+    if not mat.shape[1]:
+        raise ValueError("observable matrix must have positive dimension")
+    if not np.isfinite(mat).all():
+        raise ValueError("observable matrix is not finite")
+    if not np.abs(mat - mat.conj().transpose(0, 2, 1)).max(initial=0.0) <= ATOL:
+        raise ValueError("observable matrix is not Hermitian within 1e-12")
+    n, k = evals.shape
+    dim = mat.shape[1]
+    if not np.abs(stack.sum(axis=1) - np.eye(dim)).max() <= ATOL:
+        raise ValueError("projectors do not sum to the identity")
+    # P_i P_j for every pair from one matrix product per member, rows (i, a)
+    # by columns (j, c); at most PAIR_BLOCK products are held at once: whole
+    # members together when one fits, else a few rows i of one member
+    row = k * dim * dim
+    rows = min(k, max(1, PAIR_BLOCK // row))
+    members = max(1, PAIR_BLOCK // (k * row))
+    right = stack.transpose(0, 2, 1, 3).reshape(n, dim, k * dim)
+    for m in range(0, n, members):
+        for lo in range(0, k, rows):
+            block = stack[m:m + members, lo:lo + rows]
+            b, r = block.shape[:2]
+            prods = (block.reshape(b, r * dim, dim) @ right[m:m + b]).reshape(b, r, dim, k, dim)
+            same = np.einsum("miaic->miac", prods[:, :, :, lo:lo + r])  # view of the i == j pairs
+            same -= block
+            if not np.abs(prods).max() <= ATOL:
+                raise ValueError("projector family is not orthogonal")
+    recon = (evals[:, :, None, None] * stack).sum(axis=1)
+    if not np.abs(recon - mat).max() <= ATOL:
         raise ValueError("spectral reconstruction does not match matrix")
 
 

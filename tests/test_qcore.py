@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import spectral_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 from spectral_oracle import (
@@ -15,6 +16,7 @@ from spectral_oracle import (
     pairwise_from_matrix,
     pairwise_validate,
     projector,
+    stacked_validate,
 )
 
 from weakmeas import verify
@@ -190,8 +192,11 @@ class TestObservable:
             Observable.from_matrix(matrix)
 
     def test_rejects_zero_dimension(self):
-        with pytest.raises(ValueError, match="^observable matrix must have positive dimension$"):
+        message = "^observable matrix must have positive dimension$"
+        with pytest.raises(ValueError, match=message):
             Observable.from_matrix(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=message):
+            observable(np.zeros((0, 0)), (), ())
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_empty_stack_builds_no_observables(self, dim):
@@ -262,7 +267,8 @@ def projector_from_matrix(p: np.ndarray) -> Observable:
 
 
 # ---------------------------------------------------------------------------
-# The stacked eigensolve build against the pairwise oracle
+# The stacked eigensolve build and the stacked family oracle against the
+# pairwise oracle
 # ---------------------------------------------------------------------------
 
 def outcome(validate, *args) -> str | None:
@@ -272,6 +278,26 @@ def outcome(validate, *args) -> str | None:
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def batch_validate(matrix, eigenvalues, projectors) -> None:
+    """The stacked oracle on the batch [valid, family, valid].
+
+    The valid member is a diagonal family of the same shapes.  A family with
+    a shape fault has no valid neighbour, so it is checked as [family] * 3.
+    """
+    family = (np.asarray(matrix, dtype=complex), np.asarray(eigenvalues, dtype=float),
+              np.asarray(projectors, dtype=complex))
+    members = [family] * 3
+    mat, evals, stack = family
+    dim, k = mat.shape[0], evals.size
+    if mat.shape == (dim, dim) and stack.shape == (k, dim, dim) and 1 <= k <= dim:
+        projs = np.array([np.diag(np.isin(np.arange(dim), g)) for g in
+                          np.array_split(np.arange(dim), k)], dtype=complex)
+        vals = np.arange(k, dtype=float)
+        valid = ((vals[:, None, None] * projs).sum(axis=0), vals, projs)
+        members = [valid, family, valid]
+    stacked_validate(*(np.array(part) for part in zip(*members)))
 
 
 def _random_hermitian(rng, dim):
@@ -337,11 +363,18 @@ def _perturbed(obs: Observable, eps: float):
     return obs.matrix, obs.eigenvalues, projs
 
 
+@pytest.fixture(params=[None, 1], ids=["one-block", "row-blocks"])
+def pair_block(request, monkeypatch):
+    """Run each family in one block of pairs and again one row i at a time."""
+    if request.param is not None:
+        monkeypatch.setattr(spectral_oracle, "PAIR_BLOCK", request.param)
+
+
 class TestStackedValidation:
     @pytest.mark.parametrize("name, obs", FAMILIES, ids=[n for n, _ in FAMILIES])
-    def test_same_verdicts_as_pairwise(self, name, obs):
+    def test_same_verdicts_as_pairwise(self, name, obs, pair_block):
         family = (obs.matrix, obs.eigenvalues, obs.projectors)
-        for validate in (pairwise_validate, observable):
+        for validate in (pairwise_validate, observable, batch_validate):
             assert outcome(validate, *family) is None
             for eps, expected in ((1e-14, None),
                                   (1e-9, "projectors do not sum to the identity")):
@@ -364,8 +397,9 @@ class TestStackedValidation:
          "spectral reconstruction does not match matrix"),
     ], ids=["square", "hermitian", "complete", "orthogonal", "orthogonal-row-1",
             "reconstruction"])
-    def test_rejection_messages(self, args, message):
-        for validate in (pairwise_validate, observable):
+    def test_rejection_messages(self, args, message, pair_block):
+        # the batch check names the one bad member's fault as the single check does
+        for validate in (pairwise_validate, observable, batch_validate):
             assert outcome(validate, *args) == message
 
     def test_projectors_are_read_only(self):
@@ -384,6 +418,21 @@ class TestStackedValidation:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+    def test_batch_products_stay_in_bounded_blocks(self):
+        # 600 dim-6 families: all 777,600 pair products at once peak near 21 MB
+        rng = np.random.default_rng(6)
+        built = Observable._from_matrices(np.array([_random_hermitian(rng, 6)
+                                                    for _ in range(600)]))
+        batch = tuple(np.array(part) for part in zip(
+            *((o.matrix, o.eigenvalues, o.projectors) for o in built)))
+        tracemalloc.start()
+        try:
+            stacked_validate(*batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     @staticmethod
     def assert_bit_identical(obs, h):
@@ -512,7 +561,24 @@ class TestEigensolveAccuracy:
 
 class TestNonFinite:
     # the checks compare a max with a tolerance, and a NaN max compares False
+    P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_constructor_rejects_non_finite_matrix(self, bad):
+        with pytest.raises(ValueError, match="observable matrix is not finite"):
+            observable(np.full((2, 2), bad), (0.0, 1.0), (self.P0, self.P1))
+        with pytest.raises(ValueError, match="observable matrix is not finite"):
+            observable(np.diag([1.0, bad]), (0.0, 1.0), (self.P0, self.P1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_from_matrix_rejects_non_finite_matrix(self, bad):
         with pytest.raises(ValueError, match="^observable matrix is not finite$"):
             Observable.from_matrix(np.diag([1.0, bad]))
+
+    def test_nan_eigenvalue_with_finite_projectors(self):
+        with pytest.raises(ValueError, match="spectral reconstruction does not match matrix"):
+            observable(np.diag([1.0, 0.0]), (1.0, np.nan), (self.P0, self.P1))
+
+    def test_nan_projector(self):
+        with pytest.raises(ValueError, match="projectors do not sum to the identity"):
+            observable(np.diag([1.0, 0.0]), (1.0, 0.0), (np.diag([1.0, np.nan]), self.P1))
