@@ -1,93 +1,14 @@
-"""Weak values and von Neumann pointer simulations for pre/post-selected systems."""
+"""Weak values and von Neumann pointer simulations for pre/post-selected systems.
 
-from .collective import (
-    CollectiveSpec,
-    CollectiveStats,
-    collective_pointer_stats,
-    collective_weak_value,
-    success_probability,
-)
-from .errors import (
-    AllBranchesVanishError,
-    DegenerateEnsembleError,
-    DimensionMismatchError,
-    QuadratureError,
-    UnsupportedConfigurationError,
-    WeakMeasError,
-)
-from .pointer import (
-    MOMENTUM_SHIFT_FACTOR,
-    CouplingSpec,
-    PointerMixture,
-    ReadingSample,
-    WeakEstimate,
-    estimate,
-    mixture,
-    momentum_mean,
-    position_cdf,
-    position_mean,
-    position_pdf,
-    position_variance,
-    sample,
-    simultaneous,
-    window_mass,
-)
-from .prepost import (
-    AblDistribution,
-    PrePostEnsemble,
-    WeakValue,
-    abl_probabilities,
-    branch_amplitudes,
-    certainty_check,
-    postselection_probability,
-    weak_value,
-)
-from .qcore import (
-    Observable,
-    StateVector,
-    inner,
-    tensor,
-)
+The modules are the API, and importing the package loads none of them;
+import the ones you need (``from weakmeas import hardy, pointer``):
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "AblDistribution",
-    "AllBranchesVanishError",
-    "CollectiveSpec",
-    "CollectiveStats",
-    "CouplingSpec",
-    "DegenerateEnsembleError",
-    "DimensionMismatchError",
-    "MOMENTUM_SHIFT_FACTOR",
-    "Observable",
-    "PointerMixture",
-    "PrePostEnsemble",
-    "QuadratureError",
-    "ReadingSample",
-    "StateVector",
-    "UnsupportedConfigurationError",
-    "WeakEstimate",
-    "WeakMeasError",
-    "WeakValue",
-    "abl_probabilities",
-    "branch_amplitudes",
-    "certainty_check",
-    "collective_pointer_stats",
-    "collective_weak_value",
-    "estimate",
-    "inner",
-    "mixture",
-    "momentum_mean",
-    "position_cdf",
-    "position_mean",
-    "position_pdf",
-    "position_variance",
-    "postselection_probability",
-    "sample",
-    "simultaneous",
-    "success_probability",
-    "tensor",
-    "weak_value",
-    "window_mass",
-]
+* ``qcore``: states, observables and their spectral families;
+* ``prepost``: pre/post-selected ensembles, weak values and ABL odds;
+* ``pointer``: Gaussian pointer mixtures, read-out and sampling;
+* ``collective``: the N-pair collective pointer;
+* ``hardy``: the double-interferometer scenario;
+* ``verify``: the acceptance checks behind ``weakmeas verify``;
+* ``cli``: the command-line interface;
+* ``errors``: the exception types.
+"""

@@ -283,10 +283,12 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
     than ``SAMPLE_CDF_TOL`` from 1 (the grid cannot resolve the density, or
     it underflowed or overflowed) raises ``QuadratureError``.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
-    if not 0 <= seed < 2**64:  # one Philox key word
+    # x % 1 == 0 fails on a fraction, NaN and inf
+    if not (1 <= trials <= MAX_TRIALS and trials % 1 == 0):
+        raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials}")
+    if not (0 <= seed < 2**64 and seed % 1 == 0):  # one Philox key word
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    trials, seed = int(trials), int(seed)
     grid = _sampling_grid(m.shifts, m.delta, SAMPLE_GRID_POINTS)
     pdf = position_pdf(m, grid)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(grid) / 2.0)])

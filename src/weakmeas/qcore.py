@@ -99,24 +99,28 @@ class Observable:
             raise ValueError("observable matrix must have positive dimension")
         if not np.isfinite(mats).all():
             raise ValueError("observable matrix is not finite")
-        if not np.abs(mats - mats.conj().transpose(0, 2, 1)).max(initial=0.0) <= ATOL:
-            raise ValueError("observable matrix is not Hermitian within 1e-12")
-        if not len(mats):
-            return []
-        evals, vecs = np.linalg.eigh(mats)
-        if (evals[:, 1:] - evals[:, :-1]).min(initial=np.inf) > EIG_GROUP_TOL:
-            return cls._from_eigh(mats, evals, vecs, None)
-        # two adjacent eigenvalues within the tolerance: group every member on
-        # its own, and build the members that group alike together
-        out: list = [None] * len(mats)
-        batches: dict[tuple, list[int]] = {}
-        for m, values in enumerate(evals.tolist()):
-            batches.setdefault(_groups(values), []).append(m)
-        for groups, members in batches.items():
-            built = cls._from_eigh(mats[members], evals[members], vecs[members], groups)
-            for m, obs in zip(members, built):
-                out[m] = obs
-        return out
+        # a finite input near the float64 limit can overflow in the Hermitian
+        # check or the eigensolve; every check here fails on the NaN or inf
+        # that results, so it raises its ValueError without a warning first
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.abs(mats - mats.conj().transpose(0, 2, 1)).max(initial=0.0) <= ATOL:
+                raise ValueError("observable matrix is not Hermitian within 1e-12")
+            if not len(mats):
+                return []
+            evals, vecs = np.linalg.eigh(mats)
+            if (evals[:, 1:] - evals[:, :-1]).min(initial=np.inf) > EIG_GROUP_TOL:
+                return cls._from_eigh(mats, evals, vecs, None)
+            # two adjacent eigenvalues within the tolerance: group every member
+            # on its own, and build the members that group alike together
+            out: list = [None] * len(mats)
+            batches: dict[tuple, list[int]] = {}
+            for m, values in enumerate(evals.tolist()):
+                batches.setdefault(_groups(values), []).append(m)
+            for groups, members in batches.items():
+                built = cls._from_eigh(mats[members], evals[members], vecs[members], groups)
+                for m, obs in zip(members, built):
+                    out[m] = obs
+            return out
 
     @classmethod
     def _from_eigh(cls, mats, evals, vecs, groups) -> list["Observable"]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from math import ceil, comb, pi, sqrt
 
 import numpy as np
@@ -354,10 +355,8 @@ def check_simultaneous() -> tuple[bool, str]:
     specs2 = [pointer.CouplingSpec(a, g=g, delta=1.0),
               pointer.CouplingSpec(b, g=g, delta=1.0)]
     pair_means = pointer.simultaneous(ens, specs2)
-    rel = _worst(
-        abs(pair_means[k] / g - prepost.weak_value(o, ens).real)
-        / abs(prepost.weak_value(o, ens).real)
-        for k, o in enumerate((a, b)))
+    weak = [prepost.weak_value(o, ens).real for o in (a, b)]
+    rel = _worst(abs(mean / g - w) / abs(w) for mean, w in zip(pair_means, weak))
     ok = rel <= 0.01
     return ok, f"Hardy joint deviation {dev:.2e}; qubit-pair relative error {rel:.2e}"
 
@@ -380,20 +379,11 @@ def check_collective() -> tuple[bool, str]:
     # brute-force tensor cross-check at N = 2, 3 against the binomial coefficients
     alpha0, alpha1 = prepost.branch_amplitudes(obs, sc.ensemble)
     for n in (2, 3):
-        pre = sc.ensemble.pre.amplitudes
-        post = sc.ensemble.post.amplitudes
-        big_pre, big_post = pre, post
-        for _ in range(n - 1):
-            big_pre = np.kron(big_pre, pre)
-            big_post = np.kron(big_post, post)
-        total = np.zeros((4**n, 4**n), dtype=complex)
-        for k in range(n):
-            factors = [np.eye(4, dtype=complex)] * n
-            factors[k] = obs.matrix
-            term = factors[0]
-            for f in factors[1:]:
-                term = np.kron(term, f)
-            total += term
+        big_pre = reduce(np.kron, [sc.ensemble.pre.amplitudes] * n)
+        big_post = reduce(np.kron, [sc.ensemble.post.amplitudes] * n)
+        eye = np.eye(4, dtype=complex)
+        total = sum(reduce(np.kron, [obs.matrix if j == k else eye for j in range(n)])
+                    for k in range(n))
         ens_n = prepost.PrePostEnsemble(StateVector(big_pre), StateVector(big_post))
         brute = pointer.mixture(
             ens_n, pointer.CouplingSpec(Observable.from_matrix(total), g=0.05, delta=1.0))

@@ -1,88 +1,116 @@
-"""Snapshot of the public surface: a change to it has to edit this file."""
+"""Snapshot of the public surface: a change to it has to edit this file.
+
+The modules are the API, and the package namespace re-exports nothing.
+"""
 
 import dataclasses
+import importlib
 import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import weakmeas
 from weakmeas import hardy
-from weakmeas.prepost import certainty_check
+from weakmeas.collective import CollectiveStats
+from weakmeas.pointer import ReadingSample
+from weakmeas.prepost import WeakValue, certainty_check
+from weakmeas.qcore import Observable, StateVector
 
-PUBLIC_NAMES = [
-    "AblDistribution",
-    "AllBranchesVanishError",
-    "CollectiveSpec",
-    "CollectiveStats",
-    "CouplingSpec",
-    "DegenerateEnsembleError",
-    "DimensionMismatchError",
-    "MOMENTUM_SHIFT_FACTOR",
-    "Observable",
-    "PointerMixture",
-    "PrePostEnsemble",
-    "QuadratureError",
-    "ReadingSample",
-    "StateVector",
-    "UnsupportedConfigurationError",
-    "WeakEstimate",
-    "WeakMeasError",
-    "WeakValue",
-    "abl_probabilities",
-    "branch_amplitudes",
-    "certainty_check",
-    "collective_pointer_stats",
-    "collective_weak_value",
-    "estimate",
-    "inner",
-    "mixture",
-    "momentum_mean",
-    "position_cdf",
-    "position_mean",
-    "position_pdf",
-    "position_variance",
-    "postselection_probability",
-    "sample",
-    "simultaneous",
-    "success_probability",
-    "tensor",
-    "weak_value",
-    "window_mass",
-]
+# each module's public functions and classes: the names it defines that do
+# not start with an underscore
+PUBLIC_NAMES = {
+    "qcore": ["Observable", "StateVector", "inner", "tensor"],
+    "prepost": [
+        "AblDistribution", "PrePostEnsemble", "WeakValue", "abl_probabilities",
+        "branch_amplitudes", "certainty_check", "check_dimensions",
+        "postselection_probability", "weak_value",
+    ],
+    "pointer": [
+        "CouplingSpec", "PointerMixture", "ReadingSample", "WeakEstimate", "check_delta",
+        "check_finite_positive", "estimate", "mixture", "momentum_mean", "position_cdf",
+        "position_mean", "position_pdf", "position_variance", "sample", "simultaneous",
+        "window_mass",
+    ],
+    "collective": [
+        "CollectiveSpec", "CollectiveStats", "collective_pointer_stats",
+        "collective_weak_value", "density_grid", "success_probability",
+    ],
+    "hardy": [
+        "HardyScenario", "build", "detector_statistics", "postselection_variants",
+        "weak_value_table",
+    ],
+    "verify": [
+        "CheckResult", "check_abl_and_certainty", "check_additivity", "check_collective",
+        "check_identity_chain", "check_monte_carlo", "check_non_multiplicativity",
+        "check_postselection_probability", "check_simultaneous", "check_strong_limit",
+        "check_weak_limit_convergence", "check_weak_value_table", "run_all", "run_check",
+    ],
+    "cli": ["build_parser", "main", "render_json", "result_schema", "run"],
+    "errors": [
+        "AllBranchesVanishError", "DegenerateEnsembleError", "DimensionMismatchError",
+        "QuadratureError", "UnsupportedConfigurationError", "WeakMeasError",
+    ],
+}
 
 
 def field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def test_all_is_the_snapshot():
-    assert sorted(weakmeas.__all__) == PUBLIC_NAMES
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_module_surface_is_the_snapshot(name):
+    module = importlib.import_module(f"weakmeas.{name}")
+    defined = sorted(attr for attr, obj in vars(module).items()
+                     if getattr(obj, "__module__", None) == module.__name__
+                     and not attr.startswith("_"))
+    assert defined == PUBLIC_NAMES[name]
 
 
-def test_every_public_name_resolves():
-    for name in weakmeas.__all__:
-        assert hasattr(weakmeas, name), name
+def test_package_import_loads_no_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(hardy.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weakmeas; "
+         "print([m for m in sys.modules "
+         "if m.startswith('weakmeas.') or m.split('.')[0] == 'numpy'])"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_readme_quick_start_prints_its_comments():
+    # each print line's comment is its output; a comment starting with ~ is a
+    # Monte Carlo value and is not compared
+    readme = Path(__file__).parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(), re.S).group(1)
+    comments = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    env = {**os.environ, "PYTHONPATH": str(Path(hardy.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", block],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.splitlines()
+    assert len(printed) == len(comments)
+    for comment, line in zip(comments, printed):
+        if not comment.startswith("~"):
+            assert line == comment
 
 
 def test_value_type_fields():
-    assert field_names(weakmeas.WeakValue) == ("value",)
-    assert field_names(weakmeas.Observable) == ("matrix", "eigenvalues", "projectors")
-    assert field_names(weakmeas.StateVector) == ("amplitudes",)
-    assert field_names(weakmeas.ReadingSample) == ("readings",)
-    assert field_names(weakmeas.CollectiveStats) == ("mean", "mode", "spread")
+    assert field_names(WeakValue) == ("value",)
+    assert field_names(Observable) == ("matrix", "eigenvalues", "projectors")
+    assert field_names(StateVector) == ("amplitudes",)
+    assert field_names(ReadingSample) == ("readings",)
+    assert field_names(CollectiveStats) == ("mean", "mode", "spread")
 
 
 def test_hardy_scenario_surface():
     assert field_names(hardy.HardyScenario) == ("initial", "observables", "ensemble")
-    classes = [name for name, attr in vars(hardy).items()
-               if inspect.isclass(attr) and attr.__module__ == hardy.__name__]
-    assert classes == ["HardyScenario"]
-    functions = sorted(name for name, attr in vars(hardy).items()
-                       if inspect.isfunction(attr) and attr.__module__ == hardy.__name__
-                       and not name.startswith("_"))
-    assert functions == ["build", "detector_statistics", "postselection_variants",
-                         "weak_value_table"]
 
 
 def test_certainty_check_has_no_tolerance_knob():
@@ -90,18 +118,18 @@ def test_certainty_check_has_no_tolerance_knob():
 
 
 def test_observable_has_one_public_constructor():
-    public = tuple(name for name, attr in vars(weakmeas.Observable).items()
+    public = tuple(name for name, attr in vars(Observable).items()
                    if isinstance(attr, classmethod) and not name.startswith("_"))
     assert public == ("from_matrix",)
 
 
 def test_observable_has_no_dataclass_constructor():
     with pytest.raises(TypeError):
-        weakmeas.Observable(np.eye(2), (1.0,), (np.eye(2),))
+        Observable(np.eye(2), (1.0,), (np.eye(2),))
 
 
 def test_observable_projectors_are_one_read_only_stack():
-    projectors = weakmeas.Observable.from_matrix(np.diag([0.0, 1.0])).projectors
+    projectors = Observable.from_matrix(np.diag([0.0, 1.0])).projectors
     assert isinstance(projectors, np.ndarray)
     assert projectors.shape == (2, 2, 2)
     assert not projectors.flags.writeable

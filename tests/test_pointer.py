@@ -431,6 +431,18 @@ class TestSampling:
         with pytest.raises(ValueError, match="trials"):
             sample(pair_no_no_weak, MAX_TRIALS + 1, seed=1)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.9, np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["trials", "seed"])
+    def test_non_integer_trials_or_seed_rejected(self, pair_no_no_weak, arg, bad):
+        # seeds 1.5 and 1.9 used to draw seed 1's readings; trials 2.5 met numpy's TypeError
+        kwargs = {"trials": 10, "seed": 1, arg: bad}
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
+            sample(pair_no_no_weak, **kwargs)
+
+    def test_integral_float_trials_and_seed_are_their_integers(self, pair_no_no_weak):
+        floats = sample(pair_no_no_weak, 10.0, seed=1.0).readings
+        assert floats.tobytes() == sample(pair_no_no_weak, 10, seed=1).readings.tobytes()
+
     def test_unresolved_cdf_raises(self):
         # delta^2 underflows to 0, so the density and its CDF total are NaN;
         # the overlap weights, built with the mixture, already divide by 0

@@ -552,11 +552,16 @@ class TestEigensolveAccuracy:
         assert (obs.projectors == obs.projectors.conj().transpose(0, 2, 1)).all()
         pairwise_validate(obs.matrix, obs.eigenvalues, obs.projectors)
 
+    # the suite turns warnings into errors, so numpy's overflow warnings would
+    # stand in for the ValueError
     def test_overflowing_eigensolve_is_refused(self):
         h = self.hermitian_4x4()
-        with np.errstate(all="ignore"), pytest.raises(
-                ValueError, match=r"^eigensolve lost too much accuracy"):
+        with pytest.raises(ValueError, match=r"^eigensolve lost too much accuracy"):
             Observable.from_matrix(h / np.abs(h).max() * 1.7e308)
+
+    def test_overflowing_hermitian_check_is_refused(self):
+        with pytest.raises(ValueError, match=r"^observable matrix is not Hermitian"):
+            Observable.from_matrix(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
 class TestNonFinite:
