@@ -71,6 +71,19 @@ def test_module_surface_is_the_snapshot(name):
     assert defined == PUBLIC_NAMES[name]
 
 
+def test_every_module_is_snapshotted_and_named():
+    # a new module cannot skip the snapshot, the package docstring or the
+    # README's Layout section
+    package = Path(hardy.__file__).parent
+    stems = sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+    assert sorted(PUBLIC_NAMES) == stems
+    docstring = (package / "__init__.py").read_text(encoding="utf-8")
+    assert sorted(re.findall(r"^\* ``(\w+)``:", docstring, re.M)) == stems
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Layout", 1)[1].split("```")[1].split("\ntests/", 1)[0]
+    assert sorted(re.findall(r"^  (\w+)\.py ", layout, re.M)) == ["__init__", *stems]
+
+
 def test_package_import_loads_no_module():
     env = {**os.environ, "PYTHONPATH": str(Path(hardy.__file__).parents[1])}
     proc = subprocess.run(
@@ -111,6 +124,10 @@ def test_value_type_fields():
 
 def test_hardy_scenario_surface():
     assert field_names(hardy.HardyScenario) == ("initial", "observables", "ensemble")
+    # private classes count too: HardyScenario is hardy's only class
+    classes = [name for name, attr in vars(hardy).items()
+               if inspect.isclass(attr) and attr.__module__ == hardy.__name__]
+    assert classes == ["HardyScenario"]
 
 
 def test_certainty_check_has_no_tolerance_knob():
