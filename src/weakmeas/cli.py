@@ -37,7 +37,6 @@ from .errors import WeakMeasError
 from .prepost import PrePostEnsemble
 
 SCHEMA_VERSION = "1"
-MAX_PDF_POINTS = 10**5  # at the cap, weak-measure --format csv peaks near 66 MB RSS
 
 POSTSELECT_CHOICES = {
     "dd": "D_plus_D_minus",
@@ -72,14 +71,7 @@ _OPTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with single-line errors and exit code 2.
-
-    Flags must be spelled in full: a prefix such as ``--c`` never stands for
-    a longer flag (``--config``) that the command also takes.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
+    """argparse with single-line errors and exit code 2."""
 
     def error(self, message):
         print(f"error: config: {message}", file=sys.stderr)
@@ -160,9 +152,11 @@ def _resolve_observables(params: dict, default: str | None = None) -> list[str]:
     return [name]
 
 
-def _resolve_ensemble(params: dict, scenario) -> PrePostEnsemble:
+def _resolve_ensemble(params: dict) -> tuple[hardy.HardyScenario, PrePostEnsemble]:
+    """The Hardy scenario, and its pre-selection with the chosen post-selection."""
+    scenario = hardy.build()
     post = hardy.postselection_variants()[POSTSELECT_CHOICES[params["postselect"]]]
-    return PrePostEnsemble(scenario.ensemble.pre, post)
+    return scenario, PrePostEnsemble(scenario.ensemble.pre, post)
 
 
 def _cx(value: complex) -> dict:
@@ -192,8 +186,7 @@ def _cmd_detector_stats(params: dict, provided: set[str]):
 
 
 def _cmd_abl(params: dict, provided: set[str]):
-    scenario = hardy.build()
-    ensemble = _resolve_ensemble(params, scenario)
+    scenario, ensemble = _resolve_ensemble(params)
     names = _resolve_observables(params)
     results = {}
     rows = [("observable", "eigenvalue", "probability")]
@@ -213,10 +206,9 @@ def _cmd_abl(params: dict, provided: set[str]):
 def _cmd_weak_measure(params: dict, provided: set[str]):
     if params["seed"] is None:
         raise ValueError("seed is required (no silent entropy); pass --seed")
-    scenario = hardy.build()
-    ensemble = _resolve_ensemble(params, scenario)
+    scenario, ensemble = _resolve_ensemble(params)
     names = _resolve_observables(params)
-    if params["pdf_points"] and len(names) != 1:
+    if params["pdf_points"] is not None and len(names) != 1:
         raise ValueError("--pdf-points needs a single --observable")
     warnings = []
     results = {}
@@ -230,20 +222,20 @@ def _cmd_weak_measure(params: dict, provided: set[str]):
                 f"{name}: g*spectral_span = {spec.g * spec.spectral_span:g} is not "
                 f"below delta = {spec.delta:g}; outside the weak regime")
         m = pointer.mixture(ensemble, spec)
+        if params["pdf_points"] is not None:  # judged before any sampling
+            grid = pointer._sampling_grid(m.shifts, m.delta, params["pdf_points"])
+            pdf = pointer.position_pdf(m, grid)
+            pdf_rows = [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
         reading = pointer.sample(m, params["trials"], seed=params["seed"])
         est = pointer.estimate(reading, params["g"])
         wv = prepost.weak_value(spec.observable, ensemble).value
         results[name] = {
             "estimate": est.estimate,
             "stderr": est.stderr,
-            "trials": est.trials,
+            "trials": params["trials"],
             "weak_value": _cx(wv),
         }
-        rows.append((name, est.estimate, est.stderr, est.trials, wv.real, wv.imag))
-        if params["pdf_points"]:
-            grid = pointer._sampling_grid(m.shifts, m.delta, params["pdf_points"])
-            pdf = pointer.position_pdf(m, grid)
-            pdf_rows = [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
+        rows.append((name, est.estimate, est.stderr, params["trials"], wv.real, wv.imag))
     inputs = {"g": params["g"], "delta": params["delta"], "trials": params["trials"],
               "seed": params["seed"], "postselect": params["postselect"],
               "observable": params["observable"] or "all"}
@@ -251,8 +243,7 @@ def _cmd_weak_measure(params: dict, provided: set[str]):
 
 
 def _cmd_simultaneous(params: dict, provided: set[str]):
-    scenario = hardy.build()
-    ensemble = _resolve_ensemble(params, scenario)
+    scenario, ensemble = _resolve_ensemble(params)
     specs = [pointer.CouplingSpec(scenario.observable(name),
                                   g=params["g"], delta=params["delta"])
              for name in hardy.OBSERVABLE_ORDER]
@@ -273,8 +264,7 @@ def _cmd_collective(params: dict, provided: set[str]):
     pointer.check_finite_positive(c=params["c"])
     if params["n_pairs"] < 1:
         raise ValueError(f"n_pairs must be >= 1, got {params['n_pairs']}")
-    scenario = hardy.build()
-    ensemble = _resolve_ensemble(params, scenario)
+    scenario, ensemble = _resolve_ensemble(params)
     names = _resolve_observables(params, default="N_pair_NO_NO")
     if len(names) != 1:
         raise ValueError("collective needs a single observable")
@@ -287,6 +277,9 @@ def _cmd_collective(params: dict, provided: set[str]):
         warnings.append(f"delta={spec.delta:g} below collective weak-regime scale "
                         f"g*sqrt(N)={spec.g * math.sqrt(spec.n_pairs):g}; "
                         "results describe a strong measurement")
+    if params["pdf_points"] is not None:  # judged before the statistics
+        grid, pdf = collective.density_grid(spec, params["pdf_points"])
+        rows = [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
     stats = collective.collective_pointer_stats(spec)
     results = {
         "mean": stats.mean,
@@ -300,10 +293,7 @@ def _cmd_collective(params: dict, provided: set[str]):
         "collective_weak_value": _cx(collective.collective_weak_value(spec)),
         "delta": delta,
     }
-    if params["pdf_points"]:
-        grid, pdf = collective.density_grid(spec, params["pdf_points"])
-        rows = [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
-    else:
+    if params["pdf_points"] is None:
         rows = [("name", "value")] + [(k, v) for k, v in results.items()
                                       if not isinstance(v, dict)]
     inputs = {"observable": names[0], "n_pairs": n, "g": params["g"],
@@ -360,11 +350,13 @@ def _render_csv(rows: list) -> str:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="weakmeas",
+    # allow_abbrev=False: flags must be spelled in full, so a prefix such as
+    # --c never stands for a longer flag (--config) that the command also takes
+    parser = _Parser(prog="weakmeas", allow_abbrev=False,
                      description="pre/post-selected weak measurement simulations")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for name in _COMMON + names:
             typ, _, kw = _OPTIONS[name]
             kw = dict(kw)
@@ -381,9 +373,6 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params, provided = _merge_params(args)
-        if params["pdf_points"] is not None and not 2 <= params["pdf_points"] <= MAX_PDF_POINTS:
-            raise ValueError(f"pdf_points must be in [2, {MAX_PDF_POINTS}], "
-                             f"got {params['pdf_points']}")
         start = time.perf_counter()
         # numpy's overflow warnings are redundant: rendering rejects non-finite results
         with np.errstate(all="ignore"):

@@ -70,11 +70,6 @@ class CollectiveSpec:
         check_dimensions(self.observable, self.ensemble)
 
     @property
-    def alphas(self) -> tuple[complex, complex]:
-        """Branch amplitudes (alpha_0, alpha_1) of the single-pair ensemble."""
-        return branch_amplitudes(self.observable, self.ensemble)
-
-    @property
     def in_regime(self) -> bool:
         """Collective weak regime: delta at least g*sqrt(N)."""
         return self.delta >= self.g * math.sqrt(self.n_pairs)
@@ -122,7 +117,7 @@ def _momentum_pointer(spec: CollectiveSpec):
     disagreement means the step was too coarse and raises instead of
     returning an unconverged number.
     """
-    alpha0, alpha1 = spec.alphas
+    alpha0, alpha1 = branch_amplitudes(spec.observable, spec.ensemble)
     a0, a1 = (float(e) for e in spec.observable.eigenvalues)
     n, delta = spec.n_pairs, spec.delta
     s0 = spec.g * n * a0
@@ -206,8 +201,8 @@ def density_grid(spec: CollectiveSpec,
     The momentum-space pointer transformed back by the same quadrature the
     mode search uses, rescaled so the trapezoid integral over the grid is 1.
     """
+    grid = _window(spec, points)  # judges points before the quadrature
     p, psi, _, _ = _momentum_pointer(spec)
-    grid = _window(spec, points)
     pdf = _density_scan(p, psi, grid)
     pdf /= np.trapezoid(pdf, grid)
     return grid, pdf
@@ -220,7 +215,7 @@ def collective_pointer_stats(spec: CollectiveSpec) -> CollectiveStats:
     single-term mixture (one certain branch) short-circuits to the exact
     Gaussian answer.
     """
-    alpha0, alpha1 = spec.alphas
+    alpha0, alpha1 = branch_amplitudes(spec.observable, spec.ensemble)
     if alpha0 == 0 or alpha1 == 0:
         a0, a1 = (float(e) for e in spec.observable.eigenvalues)
         eig = a1 if alpha0 == 0 else a0

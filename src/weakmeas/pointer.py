@@ -49,6 +49,7 @@ MAX_TRIALS = 10**8  # 0.8 GB of float64 readings, held once: sample hands its bu
 SAMPLE_CDF_TOL = 1e-6  # |trapezoid CDF total - 1| beyond this: the grid misses the density
 MAX_JOINT_TERMS = 2**10  # branches of a simultaneous coupling, checked before each expansion
 MAX_DELTA = 1e150  # widest pointer: delta**2, taken as a Python float, stays finite
+MAX_PDF_POINTS = 10**5  # at the cap, weak-measure --format csv peaks near 66 MB RSS
 
 
 def check_finite_positive(**values: float) -> None:
@@ -152,7 +153,7 @@ def mixture(ens: PrePostEnsemble, spec: CouplingSpec) -> PointerMixture:
 def position_pdf(m: PointerMixture, q_grid: np.ndarray) -> np.ndarray:
     """|phi(Q)|^2 / normalization evaluated on a strictly increasing grid."""
     q = np.asarray(q_grid, dtype=float)
-    if q.ndim != 1 or q.size < 2 or np.any(np.diff(q) <= 0.0):
+    if q.ndim != 1 or q.size < 2 or not np.all(np.diff(q) > 0.0):  # NaN fails too
         raise ValueError("q_grid must be strictly increasing")
     return np.abs(m.wavefunction(q)) ** 2 / m.normalization
 
@@ -181,6 +182,8 @@ def position_cdf(m: PointerMixture, x: np.ndarray) -> np.ndarray:
 
 def window_mass(m: PointerMixture, lo: float, hi: float) -> float:
     """Probability mass of the position density inside [lo, hi]."""
+    if not lo <= hi:  # NaN fails too
+        raise ValueError(f"window must have lo <= hi, got [{lo}, {hi}]")
     lo_v, hi_v = position_cdf(m, np.array([lo, hi]))
     return float(hi_v - lo_v)
 
@@ -229,13 +232,14 @@ class ReadingSample:
 class WeakEstimate:
     estimate: float
     stderr: float
-    trials: int
 
 
 def _sampling_grid(shifts: np.ndarray, delta: float, points: int) -> np.ndarray:
     """The window +-(max|shift| + SAMPLE_GRID_PADDING*delta); grid[-1] is exactly its span."""
+    if not (2 <= points <= MAX_PDF_POINTS and points % 1 == 0):
+        raise ValueError(f"points must be an integer in [2, {MAX_PDF_POINTS}], got {points}")
     span = float(np.max(np.abs(shifts))) + SAMPLE_GRID_PADDING * delta
-    return np.linspace(-span, span, points)
+    return np.linspace(-span, span, int(points))
 
 
 def _inverse_cdf(grid: np.ndarray, cdf: np.ndarray):
@@ -327,7 +331,7 @@ def estimate(s: ReadingSample, g: float) -> WeakEstimate:
         per_trial -= mean
         np.square(per_trial, out=per_trial)
         err = float(np.sqrt(per_trial.sum() / (n - 1)) / np.sqrt(n))
-    return WeakEstimate(estimate=est, stderr=err, trials=n)
+    return WeakEstimate(estimate=est, stderr=err)
 
 
 # ---------------------------------------------------------------------------

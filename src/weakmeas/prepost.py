@@ -65,10 +65,6 @@ class WeakValue:
 
     value: complex
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
 
 @dataclass(frozen=True)
 class AblDistribution:
@@ -82,9 +78,6 @@ class AblDistribution:
         if (any(not (p >= -1e-12) for _, p in self.entries)
                 or not (abs(total - 1.0) <= 1e-12)):
             raise ValueError("probabilities must be nonnegative and sum to 1")
-
-    def as_dict(self) -> dict[float, float]:
-        return dict(self.entries)
 
 
 def check_dimensions(a: Observable, ens: PrePostEnsemble) -> None:

@@ -88,9 +88,9 @@ class Observable:
     def _from_matrices(cls, matrices) -> list["Observable"]:
         """``from_matrix`` of each matrix of an (n, d, d) stack, in order.
 
-        One stacked eigensolve; the members that group their eigenvalues alike
-        (all of them, unless some are near-degenerate) are built and checked
-        as one batch, with the per-matrix arithmetic of ``from_matrix``.
+        One stacked eigensolve; unless some member is near-degenerate, the
+        members are built and checked as one batch, with the per-matrix
+        arithmetic of ``from_matrix``.
         """
         mats = np.asarray(matrices, dtype=complex)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -110,17 +110,10 @@ class Observable:
             evals, vecs = np.linalg.eigh(mats)
             if (evals[:, 1:] - evals[:, :-1]).min(initial=np.inf) > EIG_GROUP_TOL:
                 return cls._from_eigh(mats, evals, vecs, None)
-            # two adjacent eigenvalues within the tolerance: group every member
-            # on its own, and build the members that group alike together
-            out: list = [None] * len(mats)
-            batches: dict[tuple, list[int]] = {}
-            for m, values in enumerate(evals.tolist()):
-                batches.setdefault(_groups(values), []).append(m)
-            for groups, members in batches.items():
-                built = cls._from_eigh(mats[members], evals[members], vecs[members], groups)
-                for m, obs in zip(members, built):
-                    out[m] = obs
-            return out
+            # two adjacent eigenvalues within the tolerance: each member is
+            # grouped and built on its own, as a stack of one
+            return [cls._from_eigh(mats[m:m + 1], evals[m:m + 1], vecs[m:m + 1], _groups(row))[0]
+                    for m, row in enumerate(evals.tolist())]
 
     @classmethod
     def _from_eigh(cls, mats, evals, vecs, groups) -> list["Observable"]:

@@ -92,7 +92,7 @@ def check_abl_and_certainty() -> tuple[bool, str]:
     pair = sc.observable("N_pair_NO_NO")
     if prepost.certainty_check(pair, sc.ensemble) is not None:
         return False, "N_pair_NO_NO certain"
-    dist = prepost.abl_probabilities(pair, sc.ensemble).as_dict()
+    dist = dict(prepost.abl_probabilities(pair, sc.ensemble).entries)
     dev = _worst([abs(dist[0.0] - 0.8), abs(dist[1.0] - 0.2)])
     if not dev <= 1e-12:
         return False, f"N_pair_NO_NO odds off by {dev:.2e}"
@@ -355,7 +355,7 @@ def check_simultaneous() -> tuple[bool, str]:
     specs2 = [pointer.CouplingSpec(a, g=g, delta=1.0),
               pointer.CouplingSpec(b, g=g, delta=1.0)]
     pair_means = pointer.simultaneous(ens, specs2)
-    weak = [prepost.weak_value(o, ens).real for o in (a, b)]
+    weak = [prepost.weak_value(o, ens).value.real for o in (a, b)]
     rel = _worst(abs(mean / g - w) / abs(w) for mean, w in zip(pair_means, weak))
     ok = rel <= 0.01
     return ok, f"Hardy joint deviation {dev:.2e}; qubit-pair relative error {rel:.2e}"
@@ -431,7 +431,3 @@ def run_check(criterion: int) -> CheckResult:
             elapsed = (time.perf_counter() - start) * 1e3
             return CheckResult(num, name, bool(passed), str(detail), elapsed)
     raise KeyError(f"no criterion {criterion}")
-
-
-def run_all() -> list[CheckResult]:
-    return [run_check(num) for num, _, _ in CHECKS]

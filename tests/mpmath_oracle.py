@@ -23,12 +23,13 @@ from weakmeas.collective import (
     CollectiveStats,
 )
 from weakmeas.pointer import SAMPLE_GRID_PADDING
+from weakmeas.prepost import branch_amplitudes
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _required_dps(spec: CollectiveSpec) -> int:
-    alpha0, alpha1 = spec.alphas
+    alpha0, alpha1 = branch_amplitudes(spec.observable, spec.ensemble)
     ratio = (abs(alpha0) + abs(alpha1)) / abs(alpha0 + alpha1)
     lost = 2.0 * spec.n_pairs * math.log10(max(ratio, 1.0))
     return max(50, int(math.ceil(lost)) + 40)
@@ -36,7 +37,7 @@ def _required_dps(spec: CollectiveSpec) -> int:
 
 def _mp_coefficients(spec: CollectiveSpec):
     """Exact-binomial coefficients at the current mpmath precision."""
-    alpha0, alpha1 = spec.alphas
+    alpha0, alpha1 = branch_amplitudes(spec.observable, spec.ensemble)
     real_case = alpha0.imag == 0.0 and alpha1.imag == 0.0
     if real_case:
         a0, a1 = mp.mpf(alpha0.real), mp.mpf(alpha1.real)
@@ -183,7 +184,7 @@ def collective_pointer_stats(spec: CollectiveSpec) -> CollectiveStats:
     eats into the safety margin.  A single-term mixture (one certain branch)
     short-circuits to the exact Gaussian answer.
     """
-    alpha0, alpha1 = spec.alphas
+    alpha0, alpha1 = branch_amplitudes(spec.observable, spec.ensemble)
     a0, a1 = (float(e) for e in spec.observable.eigenvalues)
     if alpha0 == 0 or alpha1 == 0:
         eig = a1 if alpha0 == 0 else a0

@@ -59,8 +59,8 @@ def test_criterion_03_abl_distribution(scenario):
     result = report(3)
     dist = prepost.abl_probabilities(
         scenario.observable("N_pair_NO_NO"), scenario.ensemble)
-    assert dist.as_dict()[0.0] == pytest.approx(0.8, abs=1e-12)
-    assert dist.as_dict()[1.0] == pytest.approx(0.2, abs=1e-12)
+    assert dict(dist.entries)[0.0] == pytest.approx(0.8, abs=1e-12)
+    assert dict(dist.entries)[1.0] == pytest.approx(0.2, abs=1e-12)
     for name in EXPECTED:
         if name == "N_pair_NO_NO":
             continue

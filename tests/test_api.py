@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from weakmeas import hardy
-from weakmeas.collective import CollectiveStats
-from weakmeas.pointer import ReadingSample
-from weakmeas.prepost import WeakValue, certainty_check
+from weakmeas.collective import CollectiveSpec, CollectiveStats
+from weakmeas.pointer import ReadingSample, WeakEstimate
+from weakmeas.prepost import AblDistribution, WeakValue, certainty_check
 from weakmeas.qcore import Observable, StateVector
 
 # each module's public functions and classes: the names it defines that do
@@ -48,7 +48,7 @@ PUBLIC_NAMES = {
         "CheckResult", "check_abl_and_certainty", "check_additivity", "check_collective",
         "check_identity_chain", "check_monte_carlo", "check_non_multiplicativity",
         "check_postselection_probability", "check_simultaneous", "check_strong_limit",
-        "check_weak_limit_convergence", "check_weak_value_table", "run_all", "run_check",
+        "check_weak_limit_convergence", "check_weak_value_table", "run_check",
     ],
     "cli": ["build_parser", "main", "render_json", "result_schema", "run"],
     "errors": [
@@ -120,6 +120,18 @@ def test_value_type_fields():
     assert field_names(StateVector) == ("amplitudes",)
     assert field_names(ReadingSample) == ("readings",)
     assert field_names(CollectiveStats) == ("mean", "mode", "spread")
+    assert field_names(WeakEstimate) == ("estimate", "stderr")
+
+
+@pytest.mark.parametrize("cls, members", [
+    (WeakValue, ["value"]),
+    (AblDistribution, ["entries"]),
+    (CollectiveSpec, ["delta", "ensemble", "g", "in_regime", "n_pairs", "observable"]),
+], ids=["WeakValue", "AblDistribution", "CollectiveSpec"])
+def test_value_types_hand_out_only_their_fields(cls, members):
+    # a member that only returns what its caller already holds is not API
+    public = set(field_names(cls)) | {name for name in dir(cls) if not name.startswith("_")}
+    assert sorted(public) == members
 
 
 def test_hardy_scenario_surface():

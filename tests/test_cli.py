@@ -14,9 +14,9 @@ import jsonschema
 import pytest
 
 import weakmeas
-from weakmeas import cli, hardy, pointer, verify
-from weakmeas.cli import MAX_PDF_POINTS, build_parser, render_json, result_schema, run
-from weakmeas.pointer import MAX_TRIALS
+from weakmeas import cli, collective, hardy, pointer, verify
+from weakmeas.cli import build_parser, render_json, result_schema, run
+from weakmeas.pointer import MAX_PDF_POINTS, MAX_TRIALS
 
 
 def run_cli(args, capsys):
@@ -464,7 +464,7 @@ _FUZZ_BASE = {
     "simultaneous": [],
     "collective": ["--n-pairs", "4"],
 }
-_PDF_POINTS = ["1", str(MAX_PDF_POINTS + 1)]
+_PDF_POINTS = ["0", "1", "-1", str(MAX_PDF_POINTS + 1)]
 _FUZZ_FLAGS = {
     "weak-measure": {"--g": _HOSTILE, "--delta": _HOSTILE,
                      "--trials": ["0", "-1", str(MAX_TRIALS + 1)], "--seed": ["-1", str(2**64)],
@@ -502,6 +502,7 @@ def test_hostile_input_fails_cleanly(argv, tmp_path, capsys):
     assert "Traceback" not in err
     if flag in _ALWAYS_OUT or value in _OUT_OF_DOMAIN or (flag, value) == ("--delta", "1e300"):
         name = value.split(" ")[0] if flag == "--config" else flag[2:].replace("-", "_")
+        name = "points" if name == "pdf_points" else name  # the grid rule names its argument
         assert code == 2
         assert err.startswith(f"error: config: {name} must be")
     if code == 0:
@@ -511,3 +512,18 @@ def test_hostile_input_fails_cleanly(argv, tmp_path, capsys):
         assert out == ""
         assert err.startswith(("error: config:", "error: computation:"))
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["weak-measure", *_FUZZ_BASE["weak-measure"], "--pdf-points", "1"], pointer, "sample"),
+    (["collective", *_FUZZ_BASE["collective"], "--pdf-points", "1"],
+     collective, "collective_pointer_stats"),
+], ids=["weak-measure", "collective"])
+def test_pdf_points_judged_before_the_work(argv, module, name, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran before --pdf-points was judged")
+
+    monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config: points must be")

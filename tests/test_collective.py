@@ -26,7 +26,8 @@ from weakmeas.collective import (
     success_probability,
 )
 from weakmeas.errors import DimensionMismatchError, QuadratureError
-from weakmeas.prepost import PrePostEnsemble, weak_value
+from weakmeas.pointer import MAX_PDF_POINTS
+from weakmeas.prepost import PrePostEnsemble, branch_amplitudes, weak_value
 from weakmeas.qcore import Observable, StateVector
 
 SQRT3 = np.sqrt(3.0)
@@ -48,7 +49,7 @@ def binomial_mixture(spec: CollectiveSpec) -> pointer.PointerMixture:
     c_k = C(N, k) alpha_1^k alpha_0^(N-k) and shift_k = g (N a0 + k (a1 - a0));
     valid while the coefficients fit in doubles.
     """
-    alpha0, alpha1 = spec.alphas
+    alpha0, alpha1 = branch_amplitudes(spec.observable, spec.ensemble)
     a0, a1 = spec.observable.eigenvalues
     n = spec.n_pairs
     k = np.arange(n + 1)
@@ -120,7 +121,7 @@ class TestMixture:
 
     def test_two_pairs_binomial_weights(self, scenario):
         spec = make_spec(scenario, n=2)
-        a0, a1 = spec.alphas
+        a0, a1 = branch_amplitudes(spec.observable, spec.ensemble)
         cm = binomial_mixture(spec)
         np.testing.assert_allclose(
             cm.coefficients, [a0**2, 2 * a0 * a1, a1**2], atol=1e-15)
@@ -265,6 +266,22 @@ class TestDensityGrid:
         stats = collective_pointer_stats(spec)
         assert grid[np.argmax(pdf)] == pytest.approx(stats.mode, abs=grid[1] - grid[0])
 
+    @pytest.mark.parametrize("points", [0, 1, -3, 2.5, np.nan, np.inf, MAX_PDF_POINTS + 1])
+    def test_points_outside_the_rule_raise_before_the_quadrature(self, scenario, monkeypatch,
+                                                                 points):
+        def refuse(spec):
+            raise AssertionError("quadrature ran before points was judged")
+
+        monkeypatch.setattr(collective, "_momentum_pointer", refuse)
+        with pytest.raises(ValueError, match="points must be an integer in"):
+            density_grid(make_spec(scenario, n=4), points)
+
+    @pytest.mark.parametrize("points", [2, 3.0, MAX_PDF_POINTS])
+    def test_points_at_the_rule_edges(self, scenario, points):
+        grid, pdf = density_grid(make_spec(scenario, n=4), points)
+        assert grid.size == pdf.size == points
+        assert np.isfinite(pdf).all()
+
 
 def assert_matches_oracle(spec):
     fast = collective_pointer_stats(spec)
@@ -286,7 +303,7 @@ class TestAgainstMpmathOracle:
         ens = PrePostEnsemble(normalized(1, 0.4 + 0.7j), normalized(0.8 - 0.3j, -0.5 + 0.2j))
         spec = CollectiveSpec(ens, diagonal([0.0, 1.0]),
                               n_pairs=60, g=1.0, delta=5.0 * sqrt(60))
-        assert spec.alphas[0].imag != 0.0
+        assert branch_amplitudes(spec.observable, ens)[0].imag != 0.0
         assert_matches_oracle(spec)
 
     def test_shifted_eigenvalues(self):

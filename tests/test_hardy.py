@@ -116,16 +116,16 @@ class TestWeakValueTable:
 class TestIdealMeasurements:
     def test_pair_no_no_odds(self, scenario):
         dist = abl_probabilities(scenario.observable("N_pair_NO_NO"), scenario.ensemble)
-        assert dist.as_dict()[0.0] == pytest.approx(0.8, abs=1e-12)
-        assert dist.as_dict()[1.0] == pytest.approx(0.2, abs=1e-12)
+        assert dict(dist.entries)[0.0] == pytest.approx(0.8, abs=1e-12)
+        assert dict(dist.entries)[1.0] == pytest.approx(0.2, abs=1e-12)
 
     def test_electron_always_in_overlapping_arm(self, scenario):
         dist = abl_probabilities(scenario.observable("N_minus_O"), scenario.ensemble)
-        assert dist.as_dict()[1.0] == pytest.approx(1.0, abs=1e-12)
+        assert dict(dist.entries)[1.0] == pytest.approx(1.0, abs=1e-12)
 
     def test_no_pair_in_overlapping_arms(self, scenario):
         dist = abl_probabilities(scenario.observable("N_pair_O_O"), scenario.ensemble)
-        assert dist.as_dict()[0.0] == pytest.approx(1.0, abs=1e-12)
+        assert dict(dist.entries)[0.0] == pytest.approx(1.0, abs=1e-12)
 
     def test_seven_certain_at_their_weak_values(self, scenario, chain):
         assert certainty_check(scenario.observable("N_pair_NO_NO"), scenario.ensemble) is None

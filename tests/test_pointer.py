@@ -270,6 +270,19 @@ class TestPositionDensity:
         with pytest.raises(ValueError, match="increasing"):
             position_pdf(pair_no_no_weak, np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [0.0, np.nan]])
+    def test_nan_grid_is_not_increasing(self, pair_no_no_weak, grid):
+        with pytest.raises(ValueError, match="increasing"):
+            position_pdf(pair_no_no_weak, np.array(grid))
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (np.nan, 1.0), (-1.0, np.nan)])
+    def test_window_must_have_lo_at_most_hi(self, pair_no_no_weak, lo, hi):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            window_mass(pair_no_no_weak, lo, hi)
+
+    def test_empty_window_has_no_mass(self, pair_no_no_weak):
+        assert window_mass(pair_no_no_weak, 0.5, 0.5) == 0.0
+
     def test_weak_regime_peak_near_minus_g(self, pair_no_no_weak):
         g = 0.05
         q = np.linspace(-4, 4, 160001)
@@ -394,7 +407,6 @@ class TestSampling:
         manual = reading.readings / 0.05
         assert est.estimate == pytest.approx(manual.mean())
         assert est.stderr == pytest.approx(manual.std(ddof=1) / np.sqrt(1000))
-        assert est.trials == 1000
 
     @pytest.mark.parametrize("n", [2, 3, 1000, 65537, 10**6])
     @pytest.mark.parametrize("g", [0.05, 0.013, 1.0])
@@ -567,7 +579,7 @@ class TestSimultaneous:
         means = simultaneous(ens, [CouplingSpec(a, g=g, delta=1.0),
                                    CouplingSpec(b, g=g, delta=1.0)])
         for mean, obs in zip(means, (a, b)):
-            target = weak_value(obs, ens).real
+            target = weak_value(obs, ens).value.real
             assert mean / g == pytest.approx(target, rel=0.01)
 
     def test_mixed_couplings_per_pointer(self, scenario):

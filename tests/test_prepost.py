@@ -169,7 +169,7 @@ class TestCertainty:
     def test_uncertain_returns_none(self):
         ens = PrePostEnsemble(state(1, 1), state(2, 1))
         dist = abl_probabilities(diagonal([0.0, 1.0]), ens)
-        assert dist.as_dict()[0.0] == pytest.approx(0.8, abs=1e-12)
+        assert dict(dist.entries)[0.0] == pytest.approx(0.8, abs=1e-12)
         assert certainty_check(diagonal([0.0, 1.0]), ens) is None
 
     def test_certainty_within_tolerance_does_not_raise(self):
@@ -178,7 +178,7 @@ class TestCertainty:
         ens = PrePostEnsemble(state(np.cos(np.pi / 4), np.sin(np.pi / 4)),
                               StateVector(np.array([1e-6, np.sqrt(1.0 - 1e-12)])))
         obs = diagonal([0.0, 1.0])
-        assert abl_probabilities(obs, ens).as_dict()[1.0] == pytest.approx(
+        assert dict(abl_probabilities(obs, ens).entries)[1.0] == pytest.approx(
             1.0 - 1e-12, abs=1e-15)
         assert certainty_check(obs, ens) == 1.0
         assert weak_value(obs, ens).value == pytest.approx(0.999999, abs=1e-12)
