@@ -83,7 +83,9 @@ def result_schema() -> dict:
         return json.load(fh)
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
+    """The file's values, each key one of the command's own options other than config."""
+    takes = set(_COMMON + _COMMANDS[command][2]) - {"config"}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -100,6 +102,8 @@ def _parse_config_file(path: str) -> dict:
         value = value.strip()
         if key not in _OPTIONS or key == "config":
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in takes:
+            raise ValueError(f"{path}:{lineno}: {command} takes no {key!r}")
         typ, _, kw = _OPTIONS[key]
         try:
             if typ is bool:
@@ -130,7 +134,7 @@ def _merge_params(args: argparse.Namespace) -> tuple[dict, set[str]]:
     params = {key: default for key, (_, default, _) in _OPTIONS.items()}
     provided: set[str] = set()
     if getattr(args, "config", None):
-        from_file = _parse_config_file(args.config)
+        from_file = _parse_config_file(args.config, args.command)
         params.update(from_file)
         provided |= set(from_file)
     for key in _OPTIONS:

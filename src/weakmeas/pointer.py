@@ -7,9 +7,9 @@ leaves the pointer in a weighted sum of shifted Gaussians,
 
     phi(Q) = sum_i  <post|P_i|pre> * exp(-(Q - g*a_i)^2 / delta^2),
 
-one term per distinct eigenvalue a_i.  All read-out statistics (position and
-momentum means, cumulative masses, variances) follow in closed form from
-Gaussian overlap integrals; Monte Carlo read-out sampling is built on top.
+one term per distinct eigenvalue a_i.  The read-out statistics (position
+mean, variance and cumulative mass) follow in closed form from Gaussian
+overlap integrals; Monte Carlo read-out sampling is built on top.
 Several pointers coupled at once, to any family of observables, commuting
 or not, are the same closed form with one term per non-vanishing product
 of projectors, at most MAX_JOINT_TERMS of them; a single pointer is the
@@ -28,6 +28,7 @@ independent and reproducible regardless of how trials are partitioned.  A
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,6 @@ import numpy as np
 from .errors import AllBranchesVanishError, QuadratureError, UnsupportedConfigurationError
 from .prepost import PrePostEnsemble, branch_amplitudes, check_dimensions
 from .qcore import Observable
-
-# Mean pointer momentum after post-selection, weak limit:
-#   <P> = MOMENTUM_SHIFT_FACTOR * g * Im(A_w) / delta^2
-# for the exp(-Q^2/delta^2) profile.  Frozen against the Fourier-grid oracle
-# in the test suite; it is convention-dependent, not universal.
-MOMENTUM_SHIFT_FACTOR = 2.0
 
 SAMPLE_GRID_POINTS = 4096
 SAMPLE_GRID_PADDING = 10.0  # in units of delta
@@ -50,6 +45,24 @@ SAMPLE_CDF_TOL = 1e-6  # |trapezoid CDF total - 1| beyond this: the grid misses 
 MAX_JOINT_TERMS = 2**10  # branches of a simultaneous coupling, checked before each expansion
 MAX_DELTA = 1e150  # widest pointer: delta**2, taken as a Python float, stays finite
 MAX_PDF_POINTS = 10**5  # at the cap, weak-measure --format csv peaks near 66 MB RSS
+_CDF_CHUNK = 4096  # points per pass of position_cdf: one (points, pairs) block stays in cache
+
+# Cephes erf (Moshier, Methods and Programs for Mathematical Functions, 1989):
+# x T(x^2)/U(x^2) for |x| <= 1, else sign(x) (1 - exp(-x^2) P(|x|)/Q(|x|)).
+# Coefficients highest degree first; U and Q are monic, their leading 1 not stored.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# erfc(6) = 2.2e-17 is below 2**-54, so from 6 on 1 - erfc rounds to exactly 1:
+# clipping there leaves Cephes' third branch (|x| >= 8) unreachable
+_ERF_CLIP = 6.0
 
 
 def check_finite_positive(**values: float) -> None:
@@ -169,38 +182,86 @@ def position_variance(m: PointerMixture) -> float:
     return float(second - position_mean(m) ** 2)
 
 
-def position_cdf(m: PointerMixture, x: np.ndarray) -> np.ndarray:
-    """P(Q <= x) in closed form (mixture of error functions)."""
-    from scipy.special import erf  # deferred: scipy costs ~0.3 s at start-up
+def _polevl(x: np.ndarray, coeffs: tuple, monic: bool = False) -> np.ndarray:
+    """Cephes' polevl (p1evl when monic): Horner's rule, one rounding per step."""
+    y = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        y *= x
+        y += c
+    return y
 
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    w, mid = m._weights, m._mid
-    u = np.sqrt(2.0) * (x[:, None, None] - mid[None, :, :]) / m.delta
-    vals = (w[None, :, :] * 0.5 * (1.0 + erf(u))).sum(axis=(1, 2)) / w.sum()
-    return vals
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a float64 array, in place, by Cephes' rational approximations.
+
+    The arithmetic of Cephes' erf, step for step, on arguments clipped to
+    +-_ERF_CLIP; only numpy's exp differs from the C library's, so results
+    are within 1 ulp of ``scipy.special.erf``.  NaN stays NaN.
+    """
+    np.clip(x, -_ERF_CLIP, _ERF_CLIP, out=x)
+    a = np.abs(x)
+    inner = a <= 1.0
+    xi = x[inner]
+    z = xi * xi
+    x[inner] = xi * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+    outer = ~inner  # NaN too
+    a = a[outer]
+    y = np.exp(-(a * a))
+    y *= _polevl(a, _ERFC_P)
+    y /= _polevl(a, _ERFC_Q, monic=True)
+    np.subtract(1.0, y, out=y)
+    x[outer] = np.copysign(y, x[outer])
+    return x
+
+
+def _live_pairs(m: PointerMixture) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and midpoints of the pairs i <= j whose weight is not zero.
+
+    The pair weights are symmetric, so an off-diagonal pair carries twice its
+    weight and a diagonal pair its own.
+    """
+    upper = np.triu(m._weights) * (2.0 - np.eye(len(m._weights)))
+    live = np.flatnonzero(upper)
+    return upper.ravel()[live], m._mid.ravel()[live]
+
+
+def position_cdf(m: PointerMixture, x: np.ndarray) -> np.ndarray:
+    """P(Q <= x) in closed form, for x flattened to one dimension.
+
+    Each live pair (weight v, midpoint c) adds v (1 + erf(sqrt(2)(x - c)/delta))/2,
+    over the total weight.  erf is a numpy port of Cephes' (Moshier, Methods
+    and Programs for Mathematical Functions, 1989) on arguments clipped to
+    +-6, where it is already exactly +-1.  x is taken _CDF_CHUNK points at a
+    time: each pass fills one (points, pairs) block in place and sums it
+    with one matrix-vector product.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    v, mid = _live_pairs(m)
+    scale = math.sqrt(2.0) / m.delta
+    out = np.empty(x.size)
+    for start in range(0, x.size, _CDF_CHUNK):
+        block = np.subtract.outer(x[start:start + _CDF_CHUNK], mid)
+        block *= scale
+        _erf(block)
+        block += 1.0
+        out[start:start + _CDF_CHUNK] = block @ v
+    out *= 0.5 / m._weights.sum()
+    return out
 
 
 def window_mass(m: PointerMixture, lo: float, hi: float) -> float:
-    """Probability mass of the position density inside [lo, hi]."""
+    """Probability mass of the position density inside [lo, hi].
+
+    position_cdf(hi) - position_cdf(lo) pair by pair, with ``math.erf``: two
+    points are too few for numpy's per-call cost to pay off.
+    """
     if not lo <= hi:  # NaN fails too
         raise ValueError(f"window must have lo <= hi, got [{lo}, {hi}]")
-    lo_v, hi_v = position_cdf(m, np.array([lo, hi]))
-    return float(hi_v - lo_v)
-
-
-def momentum_mean(m: PointerMixture) -> float:
-    """<P> under the momentum-space density of phi.
-
-    The Fourier transform of a Gaussian mixture is again a Gaussian mixture
-    with phase factors; the mean reduces to the same pairwise overlaps.  In
-    the weak limit <P> -> MOMENTUM_SHIFT_FACTOR * g * Im(A_w) / delta^2, and
-    it vanishes identically for real coefficients.
-    """
-    s = m.shifts
-    cpair = np.outer(m.coefficients.conj(), m.coefficients)
-    kernel = np.exp(-np.subtract.outer(s, s) ** 2 / (2.0 * m.delta**2))
-    num = (np.imag(cpair) * (-np.subtract.outer(s, s)) * kernel).sum()
-    return float(num / (m.delta**2 * m._weights.sum()))
+    v, mid = _live_pairs(m)
+    scale = math.sqrt(2.0) / m.delta
+    mass = sum(w * (math.erf((hi - c) * scale) - math.erf((lo - c) * scale))
+               for w, c in zip(v.tolist(), mid.tolist()))
+    return 0.5 * mass / float(m._weights.sum())
 
 
 @dataclass(frozen=True)

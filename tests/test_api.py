@@ -32,9 +32,8 @@ PUBLIC_NAMES = {
     ],
     "pointer": [
         "CouplingSpec", "PointerMixture", "ReadingSample", "WeakEstimate", "check_delta",
-        "check_finite_positive", "estimate", "mixture", "momentum_mean", "position_cdf",
-        "position_mean", "position_pdf", "position_variance", "sample", "simultaneous",
-        "window_mass",
+        "check_finite_positive", "estimate", "mixture", "position_cdf", "position_mean",
+        "position_pdf", "position_variance", "sample", "simultaneous", "window_mass",
     ],
     "collective": [
         "CollectiveSpec", "CollectiveStats", "collective_pointer_stats",

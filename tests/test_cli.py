@@ -279,8 +279,34 @@ class TestConfigFile:
     def test_bad_value_type_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("trials = lots\n")
-        code, _, err = run_cli(["hardy-table", "--config", str(cfg)], capsys)
+        code, _, err = run_cli(["weak-measure", "--config", str(cfg)], capsys)
         assert code == 2
+        assert err.startswith(f"error: config: {cfg}:1: bad int value 'lots' for trials")
+
+    @pytest.mark.parametrize("command, lines", [
+        ("abl", "trials = 0\nseed = -5\n"),
+        ("hardy-table", "pdf_points = 1\n"),
+        ("verify", "g = 0.05\n"),
+        ("collective", "interaction = no\n"),
+    ], ids=["abl-trials", "hardy-table-pdf_points", "verify-g", "collective-interaction"])
+    def test_key_the_command_does_not_take_exits_2(self, command, lines, tmp_path, capsys):
+        # a config file says only what the run uses, even a value the command would ignore
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(lines)
+        out_file = tmp_path / "doc.json"
+        code, out, err = run_cli([command, "--config", str(cfg), "--output-path", str(out_file)],
+                                 capsys)
+        key = lines.split(" ", 1)[0]
+        assert (code, out) == (2, "") and not out_file.exists()
+        assert err == f"error: config: {cfg}:1: {command} takes no {key!r}\n"
+
+    def test_common_keys_are_taken_by_every_command(self, tmp_path, capsys):
+        cfg = tmp_path / "common.cfg"
+        out_file = tmp_path / "doc.json"
+        cfg.write_text(f"format = json\ntiming = no\noutput_path = {out_file}\n")
+        code, out, err = run_cli(["hardy-table", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert json.loads(out_file.read_text())["command"] == "hardy-table"
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(["hardy-table", "--config", "/nonexistent.cfg"], capsys)
@@ -413,16 +439,23 @@ class TestOutputPath:
 
 class TestEntryPoint:
     def test_cold_import_skips_heavy_modules(self):
-        # mpmath is a test-only oracle; scipy is imported by the functions that need it
+        # scipy and mpmath are test-only oracles: neither the import nor any
+        # command loads them
         env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1])}
+        runs = [["hardy-table"], ["detector-stats"], ["abl"], ["simultaneous"],
+                ["weak-measure", "--seed", "1", "--trials", "1000"], ["collective"], ["verify"]]
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, weakmeas.cli; "
-             "print([m for m in sys.modules "
-             "if m.split('.')[0] in ('mpmath', 'scipy')])"],
+             "import os, sys, weakmeas.cli as cli\n"
+             "def heavy():\n"
+             "    return [m for m in sys.modules if m.split('.')[0] in ('mpmath', 'scipy')]\n"
+             "print(heavy())\n"
+             f"for argv in {runs!r}:\n"
+             "    assert cli.run(argv + ['--output-path', os.devnull]) == 0, argv\n"
+             "    print(argv[0], heavy())\n"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines() == ["[]"] + [f"{argv[0]} []" for argv in runs]
 
     def test_module_invocation(self):
         proc = subprocess.run(
