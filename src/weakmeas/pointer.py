@@ -49,15 +49,15 @@ _CDF_CHUNK = 4096  # points per pass of position_cdf: one (points, pairs) block 
 
 # Cephes erf (Moshier, Methods and Programs for Mathematical Functions, 1989):
 # x T(x^2)/U(x^2) for |x| <= 1, else sign(x) (1 - exp(-x^2) P(|x|)/Q(|x|)).
-# Coefficients highest degree first; U and Q are monic, their leading 1 not stored.
+# Coefficients highest degree first.
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
           2.26290000613890934246e4, 4.92673942608635921086e4)
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
 # erfc(6) = 2.2e-17 is below 2**-54, so from 6 on 1 - erfc rounds to exactly 1:
@@ -182,9 +182,9 @@ def position_variance(m: PointerMixture) -> float:
     return float(second - position_mean(m) ** 2)
 
 
-def _polevl(x: np.ndarray, coeffs: tuple, monic: bool = False) -> np.ndarray:
-    """Cephes' polevl (p1evl when monic): Horner's rule, one rounding per step."""
-    y = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+def _polevl(x: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """Cephes' polevl: Horner's rule, one rounding per step."""
+    y = np.full_like(x, coeffs[0])
     for c in coeffs[1:]:
         y *= x
         y += c
@@ -203,12 +203,12 @@ def _erf(x: np.ndarray) -> np.ndarray:
     inner = a <= 1.0
     xi = x[inner]
     z = xi * xi
-    x[inner] = xi * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+    x[inner] = xi * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
     outer = ~inner  # NaN too
     a = a[outer]
     y = np.exp(-(a * a))
     y *= _polevl(a, _ERFC_P)
-    y /= _polevl(a, _ERFC_Q, monic=True)
+    y /= _polevl(a, _ERFC_Q)
     np.subtract(1.0, y, out=y)
     x[outer] = np.copysign(y, x[outer])
     return x
@@ -250,18 +250,11 @@ def position_cdf(m: PointerMixture, x: np.ndarray) -> np.ndarray:
 
 
 def window_mass(m: PointerMixture, lo: float, hi: float) -> float:
-    """Probability mass of the position density inside [lo, hi].
-
-    position_cdf(hi) - position_cdf(lo) pair by pair, with ``math.erf``: two
-    points are too few for numpy's per-call cost to pay off.
-    """
+    """Probability mass of the position density inside [lo, hi]."""
     if not lo <= hi:  # NaN fails too
         raise ValueError(f"window must have lo <= hi, got [{lo}, {hi}]")
-    v, mid = _live_pairs(m)
-    scale = math.sqrt(2.0) / m.delta
-    mass = sum(w * (math.erf((hi - c) * scale) - math.erf((lo - c) * scale))
-               for w, c in zip(v.tolist(), mid.tolist()))
-    return 0.5 * mass / float(m._weights.sum())
+    lo_v, hi_v = position_cdf(m, np.array([lo, hi]))
+    return float(hi_v - lo_v)
 
 
 @dataclass(frozen=True)
