@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .pointer import _sampling_grid, check_delta, check_finite_positive
+from .pointer import _sampling_grid, check_coupling
 from .prepost import PrePostEnsemble, branch_amplitudes, check_dimensions, weak_value
 from .qcore import Observable
 
@@ -65,8 +65,7 @@ class CollectiveSpec:
             raise ValueError("collective coupling requires exactly two distinct eigenvalues")
         if not (self.n_pairs >= 1 and self.n_pairs % 1 == 0):  # NaN and inf fail too
             raise ValueError(f"n_pairs must be an integer >= 1, got {self.n_pairs}")
-        check_finite_positive(g=self.g)
-        check_delta(self.delta)
+        check_coupling(self.g, self.delta)
         check_dimensions(self.observable, self.ensemble)
 
     @property

@@ -43,7 +43,11 @@ _SAMPLE_CHUNK = 1 << 16
 MAX_TRIALS = 10**8  # 0.8 GB of float64 readings, held once: sample hands its buffer over
 SAMPLE_CDF_TOL = 1e-6  # |trapezoid CDF total - 1| beyond this: the grid misses the density
 MAX_JOINT_TERMS = 2**10  # branches of a simultaneous coupling, checked before each expansion
+MIN_DELTA = 1e-150  # narrowest pointer: delta**2 stays a normal float
 MAX_DELTA = 1e150  # widest pointer: delta**2, taken as a Python float, stays finite
+# weakest coupling g/delta: a reading lies in the sampling window, so |reading/g| < max|a| +
+# 10 delta/g, and estimate's MAX_TRIALS squares sum below 4e8 (1e141)^2 = 4e290 for |a| ~ 1
+MIN_G_OVER_DELTA = 1e-140
 MAX_PDF_POINTS = 10**5  # at the cap, weak-measure --format csv peaks near 66 MB RSS
 _CDF_CHUNK = 4096  # points per pass of position_cdf: one (points, pairs) block stays in cache
 
@@ -73,10 +77,21 @@ def check_finite_positive(**values: float) -> None:
 
 
 def check_delta(delta: float) -> None:
-    """Raise ValueError unless the pointer width is positive and at most MAX_DELTA."""
+    """Raise ValueError unless the pointer width is in [MIN_DELTA, MAX_DELTA]."""
     check_finite_positive(delta=delta)
     if not delta <= MAX_DELTA:
         raise ValueError(f"delta must be at most {MAX_DELTA:g}, got {delta}")
+    if not delta >= MIN_DELTA:
+        raise ValueError(f"delta must be at least {MIN_DELTA:g}, got {delta}")
+
+
+def check_coupling(g: float, delta: float) -> None:
+    """Raise ValueError unless g is finite and positive, delta passes
+    ``check_delta`` and g is at least MIN_G_OVER_DELTA times delta."""
+    check_finite_positive(g=g)
+    check_delta(delta)
+    if not g >= MIN_G_OVER_DELTA * delta:
+        raise ValueError(f"g must be at least {MIN_G_OVER_DELTA:g} times delta = {delta}, got {g}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +103,7 @@ class CouplingSpec:
     delta: float
 
     def __post_init__(self):
-        check_finite_positive(g=self.g)
-        check_delta(self.delta)
+        check_coupling(self.g, self.delta)
 
     @property
     def spectral_span(self) -> float:
@@ -311,11 +325,12 @@ def _inverse_cdf(grid: np.ndarray, cdf: np.ndarray):
         slopes = np.diff(grid) / np.diff(cdf)
     buckets = 1 << (cdf.size - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right") - 1
+    nxt = cdf[1:]  # nxt[j] is cdf[j + 1], without an index temporary
 
     def invert(u: np.ndarray) -> np.ndarray:
         j = guide[(u * buckets).astype(np.intp)]
-        j += cdf[j + 1] <= u
-        miss = np.flatnonzero(cdf[j + 1] <= u)
+        j += nxt[j] <= u
+        miss = np.flatnonzero(nxt[j] <= u)
         j[miss] = np.searchsorted(cdf, u[miss], side="right") - 1
         with np.errstate(all="ignore"):
             x = slopes[j] * (u - cdf[j]) + grid[j]

@@ -31,8 +31,8 @@ PUBLIC_NAMES = {
         "postselection_probability", "weak_value",
     ],
     "pointer": [
-        "CouplingSpec", "PointerMixture", "ReadingSample", "WeakEstimate", "check_delta",
-        "check_finite_positive", "estimate", "mixture", "position_cdf", "position_mean",
+        "CouplingSpec", "PointerMixture", "ReadingSample", "WeakEstimate",
+        "check_coupling", "check_delta", "check_finite_positive", "estimate", "mixture", "position_cdf", "position_mean",
         "position_pdf", "position_variance", "sample", "simultaneous", "window_mass",
     ],
     "collective": [

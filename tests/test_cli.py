@@ -142,15 +142,20 @@ class TestWeakMeasure:
         grid = pointer._sampling_grid(m.shifts, m.delta, 64)
         assert (float(rows[0]["q"]), float(rows[-1]["q"])) == (grid[0], grid[-1])
 
-    @pytest.mark.parametrize("flag", ["--g", "--delta"])
-    def test_non_finite_result_exits_3(self, flag, capsys):
-        # g = 1e-300 makes the stderr infinite, delta = 1e-300 makes the estimate NaN
+    @pytest.mark.parametrize("poison", [
+        lambda est: pointer.WeakEstimate(est.estimate, float("inf")),
+        lambda est: pointer.WeakEstimate(float("nan"), est.stderr),
+    ], ids=["infinite-stderr", "nan-estimate"])
+    def test_non_finite_result_exits_3(self, poison, monkeypatch, capsys):
+        # the bounds on g and delta keep the known inputs from reaching this;
+        # the rendering still refuses a non-finite document
+        real = pointer.estimate
+        monkeypatch.setattr(pointer, "estimate", lambda *args: poison(real(*args)))
         code, out, err = run_cli(["weak-measure", "--observable", "N_pair_NO_NO",
-                                  "--seed", "1", "--trials", "1000", flag, "1e-300"], capsys)
+                                  "--seed", "1", "--trials", "1000"], capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("error: computation:")
-        assert err.count("\n") == 1
+        assert err == "error: computation: result is not finite (NaN or infinity)\n"
 
     def test_negative_trials_rejected(self, capsys):
         code, _, err = run_cli(["weak-measure", "--observable", "N_minus_O",
@@ -487,6 +492,32 @@ def test_delta_whose_square_overflows_exits_2(argv, capsys):
     assert err.count("\n") == 1
 
 
+_TINY_CASES = [
+    (["weak-measure", "--seed", "1", "--g", "1e-300"],
+     "g must be at least 1e-140 times delta = 1.0, got 1e-300"),
+    (["weak-measure", "--seed", "1", "--delta", "1e-300"],
+     "delta must be at least 1e-150, got 1e-300"),
+    # the default delta is c g sqrt(N) = 5e-299
+    (["collective", "--g", "1e-300"], "delta must be at least 1e-150, got 5e-299"),
+    (["collective", "--delta", "1e-300"], "delta must be at least 1e-150, got 1e-300"),
+    (["collective", "--g", "1e-300", "--delta", "1"],
+     "g must be at least 1e-140 times delta = 1.0, got 1e-300"),
+    (["simultaneous", "--delta", "1e-300"], "delta must be at least 1e-150, got 1e-300"),
+    (["simultaneous", "--g", "1e-300"],
+     "g must be at least 1e-140 times delta = 1.0, got 1e-300"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _TINY_CASES,
+                         ids=[" ".join(argv) for argv, _ in _TINY_CASES])
+def test_tiny_coupling_or_width_exits_2(argv, message, capsys):
+    # delta**2 below a normal float, or readings/g whose squares could overflow
+    # in estimate, are out of the domain: refused before any work
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: config: {message}\n"
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -507,9 +538,11 @@ _FUZZ_FLAGS = {
                    "--n-pairs": ["0", "-1"], "--pdf-points": _PDF_POINTS},
 }
 _FUZZ_CONFIG = ["g = -1", "delta = nan", "trials = 0"]  # the same rules, from a config file
-# out of the domain, so exit exactly 2; 1e-300 and 1e300 are in it and may exit 0 or 3,
-# except a delta of 1e300, above pointer.MAX_DELTA
+# out of the domain, so exit exactly 2; 1e300 is in it and may exit 0 or 3, except a
+# delta of 1e300, above pointer.MAX_DELTA; 1e-300 is out as a g or a delta
+# (below pointer.MIN_G_OVER_DELTA and pointer.MIN_DELTA)
 _OUT_OF_DOMAIN = {"0", "-1", "nan", "inf"}
+_TINY = {("--g", "1e-300"), ("--delta", "1e-300")}
 _ALWAYS_OUT = {"--trials", "--seed", "--n-pairs", "--pdf-points", "--config"}
 
 
@@ -533,9 +566,12 @@ def test_hostile_input_fails_cleanly(argv, tmp_path, capsys):
     assert code in (0, 2, 3)
     assert not caught, [str(w.message) for w in caught]
     assert "Traceback" not in err
-    if flag in _ALWAYS_OUT or value in _OUT_OF_DOMAIN or (flag, value) == ("--delta", "1e300"):
+    if (flag in _ALWAYS_OUT or value in _OUT_OF_DOMAIN or (flag, value) == ("--delta", "1e300")
+            or (flag, value) in _TINY):
         name = value.split(" ")[0] if flag == "--config" else flag[2:].replace("-", "_")
         name = "points" if name == "pdf_points" else name  # the grid rule names its argument
+        if argv[0] == "collective" and flag == "--g" and value == "1e-300":
+            name = "delta"  # the default delta, c g sqrt(N), is the one out of range
         assert code == 2
         assert err.startswith(f"error: config: {name} must be")
     if code == 0:

@@ -31,6 +31,8 @@ from weakmeas.pointer import (
     MAX_DELTA,
     MAX_JOINT_TERMS,
     MAX_TRIALS,
+    MIN_DELTA,
+    MIN_G_OVER_DELTA,
     SAMPLE_GRID_POINTS,
     CouplingSpec,
     PointerMixture,
@@ -477,10 +479,10 @@ class TestSampling:
         assert floats.tobytes() == sample(pair_no_no_weak, 10, seed=1).readings.tobytes()
 
     def test_unresolved_cdf_raises(self):
-        # delta^2 underflows to 0, so the density and its CDF total are NaN;
-        # the overlap weights, built with the mixture, already divide by 0
+        # the narrowest pointer falls between the grid points: the trapezoid
+        # CDF total is about 5e145
         with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="CDF total"):
-            sample(PointerMixture([0.5, -0.3], [0.0, 1.0], 1e-300), 10, seed=1)
+            sample(PointerMixture([0.5, -0.3], [0.0, 1.0], MIN_DELTA), 10, seed=1)
 
     @pytest.mark.parametrize("g", [3000.0, 1e300])
     def test_grid_too_coarse_for_the_pointer_raises(self, scenario, g):
@@ -560,19 +562,38 @@ class TestCouplingSpec:
         with pytest.raises(ValueError):
             CouplingSpec(obs, g=1.0, delta=0.0)
 
-    def test_every_width_taker_rejects_delta_above_max(self, scenario):
-        # delta**2 of a Python float overflows above about 1.3e154
+    @staticmethod
+    def width_takers(scenario, g):
         obs = scenario.observable("N_pair_NO_NO")
-        makers = {
-            "CouplingSpec": lambda d: CouplingSpec(obs, g=1.0, delta=d),
+        return {
+            "CouplingSpec": lambda d: CouplingSpec(obs, g=g, delta=d),
             "PointerMixture": lambda d: PointerMixture(np.ones(2), np.zeros(2), d),
             "CollectiveSpec": lambda d: CollectiveSpec(scenario.ensemble, obs, n_pairs=4,
-                                                       g=1.0, delta=d),
+                                                       g=g, delta=d),
         }
-        for name, make in makers.items():
+
+    def test_every_width_taker_rejects_delta_above_max(self, scenario):
+        # delta**2 of a Python float overflows above about 1.3e154; g is the
+        # weakest coupling the widest pointer takes
+        for make in self.width_takers(scenario, MIN_G_OVER_DELTA * MAX_DELTA).values():
             make(MAX_DELTA)
             with pytest.raises(ValueError, match=r"^delta must be at most 1e\+150, got 1e\+200$"):
                 make(1e200)
+
+    def test_every_width_taker_rejects_delta_below_min(self, scenario):
+        # delta**2 below about 2.2e-308 is no longer a normal float
+        for make in self.width_takers(scenario, 1.0).values():
+            make(MIN_DELTA)
+            with pytest.raises(ValueError, match=r"^delta must be at least 1e-150, got 1e-200$"):
+                make(1e-200)
+
+    def test_both_couplings_reject_g_below_min_over_delta(self, scenario):
+        for delta in (MIN_DELTA, 1.0, MAX_DELTA):
+            g = MIN_G_OVER_DELTA * delta
+            for name in ("CouplingSpec", "CollectiveSpec"):
+                self.width_takers(scenario, g)[name](delta)
+                with pytest.raises(ValueError, match=r"^g must be at least 1e-140 times delta"):
+                    self.width_takers(scenario, np.nextafter(g, 0.0))[name](delta)
 
 
 class TestSimultaneous:

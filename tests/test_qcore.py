@@ -310,6 +310,39 @@ def _random_state(rng, dim):
     return StateVector(a / np.linalg.norm(a))
 
 
+def _random_ensemble(rng, dim):
+    """Criterion 5's (pre, post) draw: redrawn until |<post|pre>| > 1e-3."""
+    while True:
+        pre, post = _random_state(rng, dim), _random_state(rng, dim)
+        if abs(np.vdot(post.amplitudes, pre.amplitudes)) > 1e-3:
+            return pre, post
+
+
+def _additivity_triples():
+    """Criterion 5's (A, B, A + B) observables, in draw order, from its stacks.
+
+    Every draw comes first; then the A and B of all triples of one dimension
+    are built as one stack, and their A + B as another.
+    """
+    rng = np.random.default_rng(verify.ADDITIVITY_SEED)
+    draws = []
+    for _ in range(verify.ADDITIVITY_TRIALS):
+        dim = int(rng.integers(2, 7))
+        _random_ensemble(rng, dim)
+        draws.append((_random_hermitian(rng, dim), _random_hermitian(rng, dim)))
+    triples = [None] * len(draws)
+    for dim in {len(ha) for ha, _ in draws}:
+        index = [t for t, (ha, _) in enumerate(draws) if len(ha) == dim]
+        built = Observable._from_matrices(np.array([draws[t] for t in index])
+                                          .reshape(-1, dim, dim))
+        a, b = built[::2], built[1::2]
+        sums = Observable._from_matrices(np.array([x.matrix for x in a])
+                                         + np.array([x.matrix for x in b]))
+        for t, *obs in zip(index, a, b, sums):
+            triples[t] = tuple(obs)
+    return triples
+
+
 def _collective_total(n: int = 3) -> np.ndarray:
     """Sum over n factors of the 4-dim pair observable, as in criterion 10."""
     obs = diagonal([0, 0, 0, 1])
@@ -446,10 +479,12 @@ class TestStackedValidation:
     def test_from_matrix_bit_identical_on_additivity_stream(self):
         # all draws of verify criterion 5, from its batches and one matrix at a time
         rng = np.random.default_rng(verify.ADDITIVITY_SEED)
-        for _, a, b, ab in verify._additivity_triples():
+        triples = _additivity_triples()
+        assert len(triples) == verify.ADDITIVITY_TRIALS
+        for a, b, ab in triples:
             dim = int(rng.integers(2, 7))
-            verify._random_ensemble(rng, dim)
-            ha, hb = verify._random_hermitian(rng, dim), verify._random_hermitian(rng, dim)
+            _random_ensemble(rng, dim)
+            ha, hb = _random_hermitian(rng, dim), _random_hermitian(rng, dim)
             hab = pairwise_from_matrix(ha)[0] + pairwise_from_matrix(hb)[0]
             for obs, h in ((a, ha), (b, hb), (ab, hab)):
                 self.assert_bit_identical(obs, h)

@@ -3,11 +3,14 @@ failure branches of criteria 2, 3 and 4 and its worst-case folds.
 
 ``verify`` computes the KS statistic and its p-value itself so that it never
 imports scipy; ``scipy.stats.kstest`` and ``kstwo`` stay here as the
-oracle.  Criterion 5 builds its observables in stacks; the per-triple loop
-it replaced stays here as the oracle.  A NaN anywhere in a check's worst-case
-fold must fail the check.
+oracle.  Criterion 5 builds its observables in stacks and takes its weak
+values as one stacked product; the per-triple loop it replaced stays here as
+the oracle.  Criterion 8 samples each distinct pointer mixture once; the
+per-observable loop it replaced stays here as the oracle.  A NaN anywhere in
+a check's worst-case fold must fail the check.
 """
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -63,15 +66,32 @@ def test_pvalue_is_a_probability(n):
         assert 0.0 <= verify._ks_pvalue(n, float(d)) <= 1.0
 
 
+def _random_ensemble(rng: np.random.Generator, dim: int) -> prepost.PrePostEnsemble:
+    while True:
+        pre = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        post = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        pre = StateVector(pre / np.linalg.norm(pre))
+        post = StateVector(post / np.linalg.norm(post))
+        if abs(np.vdot(post.amplitudes, pre.amplitudes)) > 1e-3:
+            return prepost.PrePostEnsemble(pre, post)
+
+
+def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + g.conj().T) / 2.0
+
+
 def additivity_loop() -> list[float]:
-    """Criterion 5 one triple at a time, each observable from the original from_matrix."""
+    """Criterion 5 one triple at a time, from its draws one call at a time: each
+    ensemble a ``PrePostEnsemble``, each observable from the original from_matrix
+    and each weak value from ``prepost.weak_value``."""
     rng = np.random.default_rng(verify.ADDITIVITY_SEED)
     errs = []
     for _ in range(verify.ADDITIVITY_TRIALS):
         dim = int(rng.integers(2, 7))
-        ens = verify._random_ensemble(rng, dim)
-        a = observable(*pairwise_from_matrix(verify._random_hermitian(rng, dim)))
-        b = observable(*pairwise_from_matrix(verify._random_hermitian(rng, dim)))
+        ens = _random_ensemble(rng, dim)
+        a = observable(*pairwise_from_matrix(_random_hermitian(rng, dim)))
+        b = observable(*pairwise_from_matrix(_random_hermitian(rng, dim)))
         ab = observable(*pairwise_from_matrix(a.matrix + b.matrix))
         lhs = prepost.weak_value(ab, ens).value
         rhs = prepost.weak_value(a, ens).value + prepost.weak_value(b, ens).value
@@ -96,6 +116,84 @@ def test_additivity_differences_match_the_per_triple_loop(monkeypatch):
     assert detail == f"1000 random triples, worst |(A+B)_w - A_w - B_w| = {max(expected):.2e}"
 
 
+def additivity_dims() -> list[int]:
+    """The dimension of each of criterion 5's trials, in draw order."""
+    rng = np.random.default_rng(verify.ADDITIVITY_SEED)
+    dims = []
+    for _ in range(verify.ADDITIVITY_TRIALS):
+        dims.append(int(rng.integers(2, 7)))
+        _random_ensemble(rng, dims[-1])
+        _random_hermitian(rng, dims[-1])
+        _random_hermitian(rng, dims[-1])
+    return dims
+
+
+def monte_carlo_loop() -> tuple[bool, str]:
+    """Criterion 8 one observable at a time: a sample, a resample, an estimate
+    and a KS test for each of the eight, repeated mixtures included."""
+    sc = hardy.build()
+    table = {k: v.real for k, v in hardy.weak_value_table(sc).items()}
+    g, delta, trials = 0.05, 1.0, 100_000
+    pulls = []
+    pvalues = [1.0]
+    for name in hardy.OBSERVABLE_ORDER:
+        spec = pointer.CouplingSpec(sc.observable(name), g=g, delta=delta)
+        m = pointer.mixture(sc.ensemble, spec)
+        reading = pointer.sample(m, trials, seed=verify.MC_SEED)
+        again = pointer.sample(m, trials, seed=verify.MC_SEED)
+        if reading.readings.tobytes() != again.readings.tobytes():
+            return False, f"{name}: same seed produced different readings"
+        est = pointer.estimate(reading, g)
+        pulls.append(abs(est.estimate - table[name]) / est.stderr)
+        cdfvals = pointer.position_cdf(m, np.sort(reading.readings))
+        pvalues.append(verify._ks_pvalue(trials, verify._ks_statistic(cdfvals)))
+    worst_pulls, worst_p = verify._worst(pulls), verify._worst(pvalues, np.min)
+    ok = worst_pulls <= 3.0 and worst_p > 0.01
+    return ok, f"worst |estimate - A_w|/stderr = {worst_pulls:.2f}; worst KS p-value = {worst_p:.3f}"
+
+
+def test_monte_carlo_matches_the_per_observable_loop():
+    result = verify.check_monte_carlo()
+    assert result == monte_carlo_loop()
+    assert result == (True, "worst |estimate - A_w|/stderr = 1.28; worst KS p-value = 0.140")
+
+
+def counting(monkeypatch, target, name):
+    """Patch ``target.name`` to count its calls; returns the list of their arguments."""
+    real = getattr(target, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, counted)
+    return calls
+
+
+def test_additivity_builds_two_stacks_per_dimension_and_no_per_trial_objects(monkeypatch):
+    states = counting(monkeypatch, StateVector, "__post_init__")
+    ensembles = counting(monkeypatch, prepost.PrePostEnsemble, "__post_init__")
+    weak_values = counting(monkeypatch, prepost, "weak_value")
+    stacks = counting(monkeypatch, Observable, "_from_matrices")
+    assert verify.check_additivity()[0]
+    assert (states, ensembles, weak_values) == ([], [], [])
+    dims = additivity_dims()
+    assert len(stacks) == 2 * len(set(dims))
+    # per dimension, first drawn first: its trials' A and B interleaved, then their A + B
+    assert [len(mats) for (mats,) in stacks] == [
+        n for dim in dict.fromkeys(dims) for n in (2 * dims.count(dim), dims.count(dim))]
+
+
+def test_monte_carlo_samples_each_distinct_mixture_once(monkeypatch):
+    samples = counting(monkeypatch, pointer, "sample")
+    cdfs = counting(monkeypatch, pointer, "position_cdf")
+    estimates = counting(monkeypatch, pointer, "estimate")
+    assert verify.check_monte_carlo()[0]
+    # eight mixtures at g = 0.05, four of them distinct; each is sampled twice
+    assert (len(samples), len(cdfs), len(estimates)) == (8, 4, 4)
+
+
 def test_verify_never_imports_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1])}
     proc = subprocess.run(
@@ -111,6 +209,24 @@ def test_verify_never_imports_scipy():
 NAN = math.nan
 
 
+def _second_sum() -> tuple[int, int]:
+    """Which ``_from_matrices`` call of criterion 5 builds the second trial's
+    A + B, counting from 1, and that trial's place in it.  The dimensions go
+    in the order they are first drawn, each an (A, B) stack, then its A + B
+    stack."""
+    dims = additivity_dims()
+    return 2 * list(dict.fromkeys(dims)).index(dims[1]) + 2, dims[:1].count(dims[1])
+
+
+def _nan_matrix(obs: Observable) -> Observable:
+    bad = copy.copy(obs)
+    object.__setattr__(bad, "matrix", np.full_like(obs.matrix, NAN))
+    return bad
+
+
+_SECOND_SUM_CALL, _SECOND_SUM_AT = _second_sum()
+
+
 @pytest.mark.parametrize("criterion, module, name, calls, poison", [
     # the imaginary part of the second entry of the table
     (1, hardy, "weak_value_table", {1},
@@ -120,13 +236,15 @@ NAN = math.nan
     # the second entry of the direct table
     (4, hardy, "weak_value_table", {1},
      lambda out: {**out, hardy.OBSERVABLE_ORDER[1]: complex(NAN, 0.0)}),
-    # the second random triple's (A+B)_w
-    (5, prepost, "weak_value", {4}, lambda out: prepost.WeakValue(complex(NAN, 0.0))),
+    # the second random triple's A + B, out of the stacked build of its dimension
+    (5, Observable, "_from_matrices", {_SECOND_SUM_CALL},
+     lambda out: [*out[:_SECOND_SUM_AT], _nan_matrix(out[_SECOND_SUM_AT]),
+                  *out[_SECOND_SUM_AT + 1:]]),
     # every coupling of the second observable
     (6, pointer, "position_mean", {4, 5, 6}, lambda out: NAN),
     # the second window mass
     (7, pointer, "window_mass", {2}, lambda out: NAN),
-    # the second observable's estimate, then its KS p-value
+    # the second distinct mixture's estimate, then its KS p-value
     (8, pointer, "estimate", {2}, lambda out: pointer.WeakEstimate(NAN, out.stderr)),
     (8, verify, "_ks_pvalue", {2}, lambda out: NAN),
     # the second Hardy pointer of the joint measurement
@@ -134,8 +252,8 @@ NAN = math.nan
     # the N = 100 collective mean
     (10, collective, "collective_pointer_stats", {2},
      lambda out: collective.CollectiveStats(NAN, out.mode, out.spread)),
-], ids=["c1-weak_value_table", "c3-certainty_check", "c4-weak_value_table", "c5-weak_value",
-        "c6-position_mean",
+], ids=["c1-weak_value_table", "c3-certainty_check", "c4-weak_value_table",
+        "c5-from_matrices", "c6-position_mean",
         "c7-window_mass", "c8-estimate", "c8-ks_pvalue", "c9-simultaneous",
         "c10-collective_mean"])
 def test_nan_in_second_item_fails_the_check(monkeypatch, criterion, module, name, calls,
