@@ -265,7 +265,7 @@ def _cmd_simultaneous(params: dict, provided: set[str]):
 
 
 def _cmd_collective(params: dict, provided: set[str]):
-    pointer.check_finite_positive(c=params["c"])
+    pointer.check_finite_positive(c=params["c"], g=params["g"])  # before delta is derived
     if params["n_pairs"] < 1:
         raise ValueError(f"n_pairs must be >= 1, got {params['n_pairs']}")
     scenario, ensemble = _resolve_ensemble(params)
@@ -273,7 +273,15 @@ def _cmd_collective(params: dict, provided: set[str]):
     if len(names) != 1:
         raise ValueError("collective needs a single observable")
     n = params["n_pairs"]
-    delta = params["delta"] if "delta" in provided else params["c"] * params["g"] * math.sqrt(n)
+    if "delta" in provided:
+        delta = params["delta"]
+    else:
+        delta = params["c"] * params["g"] * math.sqrt(n)
+        try:
+            pointer.check_delta(delta)
+        except ValueError as exc:  # name the flags that set the derived width
+            raise ValueError(f"{exc}, the default delta = c*g*sqrt(N) with c = {params['c']}, "
+                             f"g = {params['g']}, N = {n}; change --g or --c, or give --delta") from None
     spec = collective.CollectiveSpec(ensemble, scenario.observable(names[0]),
                                      n_pairs=n, g=params["g"], delta=delta)
     warnings = []

@@ -40,6 +40,7 @@ from .qcore import Observable
 SAMPLE_GRID_POINTS = 4096
 SAMPLE_GRID_PADDING = 10.0  # in units of delta
 _SAMPLE_CHUNK = 1 << 16
+_INVERT_BLOCK = 1 << 14  # uniforms per inversion pass: its index and gather temporaries stay small
 MAX_TRIALS = 10**8  # 0.8 GB of float64 readings, held once: sample hands its buffer over
 SAMPLE_CDF_TOL = 1e-6  # |trapezoid CDF total - 1| beyond this: the grid misses the density
 MAX_JOINT_TERMS = 2**10  # branches of a simultaneous coupling, checked before each expansion
@@ -311,9 +312,10 @@ def _sampling_grid(shifts: np.ndarray, delta: float, points: int) -> np.ndarray:
 
 
 def _inverse_cdf(grid: np.ndarray, cdf: np.ndarray):
-    """The piecewise-linear inverse of a normalised CDF, as a function of u in [0, 1).
+    """The piecewise-linear inverse of a normalised CDF, as a function
+    ``invert(u, x)`` that writes the readings of u in [0, 1) into x.
 
-    Returns exactly ``np.interp(u, cdf, grid)``: the interval j is the last
+    Writes exactly ``np.interp(u, cdf, grid)``: the interval j is the last
     knot with cdf[j] <= u, and the reading is slopes[j]*(u - cdf[j]) + grid[j]
     with numpy's precomputed slopes.  j is found with a guide table (indexed
     search, Chen & Asau 1974): bucket k of B holds the last knot at or below
@@ -327,13 +329,15 @@ def _inverse_cdf(grid: np.ndarray, cdf: np.ndarray):
     guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right") - 1
     nxt = cdf[1:]  # nxt[j] is cdf[j + 1], without an index temporary
 
-    def invert(u: np.ndarray) -> np.ndarray:
+    def invert(u: np.ndarray, x: np.ndarray) -> np.ndarray:
         j = guide[(u * buckets).astype(np.intp)]
         j += nxt[j] <= u
         miss = np.flatnonzero(nxt[j] <= u)
         j[miss] = np.searchsorted(cdf, u[miss], side="right") - 1
         with np.errstate(all="ignore"):
-            x = slopes[j] * (u - cdf[j]) + grid[j]
+            np.subtract(u, cdf[j], out=x)
+            x *= slopes[j]
+            x += grid[j]
         # an overflowed slope times u == cdf[j] is NaN; np.interp returns the knot
         knot = np.flatnonzero(np.isnan(x))
         x[knot] = grid[j[knot]]
@@ -350,7 +354,8 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
     through a guide table; the readings are bit-identical to
     ``np.interp(u, cdf, grid)``.  Uniform variates come from a Philox
     counter-based generator keyed by (seed, chunk_index) in fixed chunks of
-    2^16, so the stream is independent of any worker partitioning.  At most
+    2^16, so the stream is independent of any worker partitioning; each
+    chunk is inverted in blocks of 2^14, straight into the readings.  At most
     ``MAX_TRIALS`` readings.  The pdf is divided by its closed-form
     normalisation, so the trapezoid CDF total should be 1; a total further
     than ``SAMPLE_CDF_TOL`` from 1 (the grid cannot resolve the density, or
@@ -379,7 +384,9 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
         n = min(_SAMPLE_CHUNK, trials - filled)
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
         u = rng.random(n)
-        out[filled:filled + n] = invert(u)
+        for lo in range(0, n, _INVERT_BLOCK):
+            hi = min(lo + _INVERT_BLOCK, n)
+            invert(u[lo:hi], out[filled + lo:filled + hi])
         filled += n
         chunk_index += 1
     return ReadingSample._adopt(out)

@@ -134,11 +134,11 @@ class Observable:
             stack = (stack + stack.conj().transpose(0, 1, 3, 2)) / 2
             evals = np.stack([evals[:, lo] if hi - lo == 1 else evals[:, lo:hi].mean(axis=1)
                               for lo, hi in groups], axis=1)
-        # summed in the order of sum(a * p for a, p in pairs), 0 + ... included
-        terms = evals[:, :, None, None] * stack
+        # summed in the order of sum(a * p for a, p in pairs), 0 + ... included;
+        # one term at a time, so no (n, k, d, d) stack of terms is held
         recon = 0
         for i in range(evals.shape[1]):
-            recon = recon + terms[:, i]
+            recon = recon + evals[:, i, None, None] * stack[:, i]
         # eigh's eigenvectors are orthonormal, so the projectors are complete
         # and orthogonal, and the stored matrix, rebuilt from them, is exactly
         # Hermitian; left to judge is its distance from the input, relative to

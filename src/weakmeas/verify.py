@@ -174,7 +174,9 @@ def check_additivity() -> tuple[bool, str]:
         dim = int(rng.integers(2, 7))
         while True:
             z = rng.standard_normal((4, dim))
-            pre, post = (v / np.linalg.norm(v) for v in (z[0] + 1j * z[1], z[2] + 1j * z[3]))
+            # np.linalg.norm's arithmetic for a complex vector, without its dispatch
+            pre, post = (v / sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+                         for v in (z[0] + 1j * z[1], z[2] + 1j * z[3]))
             overlap = np.vdot(post, pre)
             if abs(overlap) > 1e-3:
                 break
@@ -238,8 +240,14 @@ def _ks_statistic(cdfvals: np.ndarray) -> float:
     statistic.
     """
     n = cdfvals.size
-    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
-    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    # one sample-sized buffer at a time: (i + 1)/n - c_i, then c_i - i/n
+    ramp = np.arange(1.0, n + 1)
+    ramp /= n
+    d_plus = np.subtract(ramp, cdfvals, out=ramp).max()
+    del ramp
+    ramp = np.arange(0.0, n)
+    ramp /= n
+    d_minus = np.subtract(cdfvals, ramp, out=ramp).max()
     return float(max(d_plus, d_minus))
 
 
@@ -307,11 +315,13 @@ def check_monte_carlo() -> tuple[bool, str]:
         key = (m.coefficients.tobytes(), m.shifts.tobytes())
         if key not in runs:
             reading = pointer.sample(m, trials, seed=MC_SEED)
-            again = pointer.sample(m, trials, seed=MC_SEED)
-            if reading.readings.tobytes() != again.readings.tobytes():
+            # bytewise, as comparing tobytes() is, without two byte copies; the
+            # resample and the CDF values are freed as soon as they are used
+            if not np.array_equal(reading.readings.view(np.uint64),
+                                  pointer.sample(m, trials, seed=MC_SEED).readings.view(np.uint64)):
                 return False, f"{name}: same seed produced different readings"
-            cdfvals = pointer.position_cdf(m, np.sort(reading.readings))
-            runs[key] = pointer.estimate(reading, g), _ks_pvalue(trials, _ks_statistic(cdfvals))
+            d = _ks_statistic(pointer.position_cdf(m, np.sort(reading.readings)))
+            runs[key] = pointer.estimate(reading, g), _ks_pvalue(trials, d)
         est, pvalue = runs[key]
         pulls.append(abs(est.estimate - table[name]) / est.stderr)
         pvalues.append(pvalue)

@@ -497,8 +497,9 @@ _TINY_CASES = [
      "g must be at least 1e-140 times delta = 1.0, got 1e-300"),
     (["weak-measure", "--seed", "1", "--delta", "1e-300"],
      "delta must be at least 1e-150, got 1e-300"),
-    # the default delta is c g sqrt(N) = 5e-299
-    (["collective", "--g", "1e-300"], "delta must be at least 1e-150, got 5e-299"),
+    # the default delta is c g sqrt(N) = 5e-299: the message names the flags that set it
+    (["collective", "--g", "1e-300"], "delta must be at least 1e-150, got 5e-299, the default "
+     "delta = c*g*sqrt(N) with c = 5.0, g = 1e-300, N = 100; change --g or --c, or give --delta"),
     (["collective", "--delta", "1e-300"], "delta must be at least 1e-150, got 1e-300"),
     (["collective", "--g", "1e-300", "--delta", "1"],
      "g must be at least 1e-140 times delta = 1.0, got 1e-300"),

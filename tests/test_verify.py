@@ -17,6 +17,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,43 @@ def test_monte_carlo_samples_each_distinct_mixture_once(monkeypatch):
     assert verify.check_monte_carlo()[0]
     # eight mixtures at g = 0.05, four of them distinct; each is sampled twice
     assert (len(samples), len(cdfs), len(estimates)) == (8, 4, 4)
+
+
+def test_monte_carlo_fails_when_a_resample_differs(monkeypatch):
+    real = pointer.sample
+    count = itertools.count(1)
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if next(count) == 2:  # the first resample differs in the last bit of one reading
+            readings = out.readings.copy()
+            readings[-1] = np.nextafter(readings[-1], np.inf)
+            out = pointer.ReadingSample(readings)
+        return out
+
+    monkeypatch.setattr(pointer, "sample", patched)
+    assert verify.check_monte_carlo() == (
+        False, f"{hardy.OBSERVABLE_ORDER[0]}: same seed produced different readings")
+
+
+@pytest.mark.parametrize("check, bound", [
+    # the A/B build at d = 6 (394 members) peaks near 4.6 MB; with its
+    # (n, k, d, d) stack of terms materialised, 5.8 MB
+    (verify.check_additivity, 5.2e6),
+    # a sample, its sorted copy and their CDF values, near 3.1 MB; with
+    # tobytes() copies, whole-chunk inversion and the last mixture's arrays
+    # held into the next, 6.0 MB
+    (verify.check_monte_carlo, 4.5e6),
+], ids=["c5", "c8"])
+def test_check_working_set(check, bound):
+    check()
+    tracemalloc.start()
+    try:
+        assert check()[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_verify_never_imports_scipy():
