@@ -385,6 +385,8 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params, provided = _merge_params(args)
+        if params["pdf_points"] is not None and params["format"] != "csv":
+            raise ValueError("--pdf-points needs --format csv")
         start = time.perf_counter()
         # numpy's overflow warnings are redundant: rendering rejects non-finite results
         with np.errstate(all="ignore"):

@@ -40,7 +40,6 @@ from .qcore import Observable
 SAMPLE_GRID_POINTS = 4096
 SAMPLE_GRID_PADDING = 10.0  # in units of delta
 _SAMPLE_CHUNK = 1 << 16
-_INVERT_BLOCK = 1 << 14  # uniforms per inversion pass: its index and gather temporaries stay small
 MAX_TRIALS = 10**8  # 0.8 GB of float64 readings, held once: sample hands its buffer over
 SAMPLE_CDF_TOL = 1e-6  # |trapezoid CDF total - 1| beyond this: the grid misses the density
 MAX_JOINT_TERMS = 2**10  # branches of a simultaneous coupling, checked before each expansion
@@ -160,16 +159,6 @@ class PointerMixture:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def normalization(self) -> float:
-        """Integral of |phi|^2 over the line, in closed form."""
-        return float(self.delta * np.sqrt(np.pi / 2.0) * self._weights.sum())
-
-    def wavefunction(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        return (self.coefficients[:, None]
-                * np.exp(-(q[None, :] - self.shifts[:, None]) ** 2 / self.delta**2)).sum(axis=0)
-
 
 def mixture(ens: PrePostEnsemble, spec: CouplingSpec) -> PointerMixture:
     """Post-selected pointer state of a single coupling, one term per eigenvalue."""
@@ -179,11 +168,13 @@ def mixture(ens: PrePostEnsemble, spec: CouplingSpec) -> PointerMixture:
 
 
 def position_pdf(m: PointerMixture, q_grid: np.ndarray) -> np.ndarray:
-    """|phi(Q)|^2 / normalization evaluated on a strictly increasing grid."""
+    """|phi(Q)|^2 over its closed-form integral, on a strictly increasing grid."""
     q = np.asarray(q_grid, dtype=float)
     if q.ndim != 1 or q.size < 2 or not np.all(np.diff(q) > 0.0):  # NaN fails too
         raise ValueError("q_grid must be strictly increasing")
-    return np.abs(m.wavefunction(q)) ** 2 / m.normalization
+    phi = (m.coefficients[:, None]
+           * np.exp(-(q[None, :] - m.shifts[:, None]) ** 2 / m.delta**2)).sum(axis=0)
+    return np.abs(phi) ** 2 / float(m.delta * np.sqrt(np.pi / 2.0) * m._weights.sum())
 
 
 def position_mean(m: PointerMixture) -> float:
@@ -313,9 +304,9 @@ def _sampling_grid(shifts: np.ndarray, delta: float, points: int) -> np.ndarray:
 
 def _inverse_cdf(grid: np.ndarray, cdf: np.ndarray):
     """The piecewise-linear inverse of a normalised CDF, as a function
-    ``invert(u, x)`` that writes the readings of u in [0, 1) into x.
+    ``invert(u)`` that overwrites u in [0, 1) with its readings.
 
-    Writes exactly ``np.interp(u, cdf, grid)``: the interval j is the last
+    Gives exactly ``np.interp(u, cdf, grid)``: the interval j is the last
     knot with cdf[j] <= u, and the reading is slopes[j]*(u - cdf[j]) + grid[j]
     with numpy's precomputed slopes.  j is found with a guide table (indexed
     search, Chen & Asau 1974): bucket k of B holds the last knot at or below
@@ -329,19 +320,19 @@ def _inverse_cdf(grid: np.ndarray, cdf: np.ndarray):
     guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right") - 1
     nxt = cdf[1:]  # nxt[j] is cdf[j + 1], without an index temporary
 
-    def invert(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def invert(u: np.ndarray) -> np.ndarray:
         j = guide[(u * buckets).astype(np.intp)]
         j += nxt[j] <= u
         miss = np.flatnonzero(nxt[j] <= u)
         j[miss] = np.searchsorted(cdf, u[miss], side="right") - 1
         with np.errstate(all="ignore"):
-            np.subtract(u, cdf[j], out=x)
-            x *= slopes[j]
-            x += grid[j]
+            u -= cdf[j]
+            u *= slopes[j]
+            u += grid[j]
         # an overflowed slope times u == cdf[j] is NaN; np.interp returns the knot
-        knot = np.flatnonzero(np.isnan(x))
-        x[knot] = grid[j[knot]]
-        return x
+        knot = np.flatnonzero(np.isnan(u))
+        u[knot] = grid[j[knot]]
+        return u
 
     return invert
 
@@ -355,7 +346,7 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
     ``np.interp(u, cdf, grid)``.  Uniform variates come from a Philox
     counter-based generator keyed by (seed, chunk_index) in fixed chunks of
     2^16, so the stream is independent of any worker partitioning; each
-    chunk is inverted in blocks of 2^14, straight into the readings.  At most
+    chunk is drawn into the readings and inverted there.  At most
     ``MAX_TRIALS`` readings.  The pdf is divided by its closed-form
     normalisation, so the trapezoid CDF total should be 1; a total further
     than ``SAMPLE_CDF_TOL`` from 1 (the grid cannot resolve the density, or
@@ -378,17 +369,10 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
     cdf /= total
     invert = _inverse_cdf(grid, cdf)
     out = np.empty(trials)
-    filled = 0
-    chunk_index = 0
-    while filled < trials:
-        n = min(_SAMPLE_CHUNK, trials - filled)
-        rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-        u = rng.random(n)
-        for lo in range(0, n, _INVERT_BLOCK):
-            hi = min(lo + _INVERT_BLOCK, n)
-            invert(u[lo:hi], out[filled + lo:filled + hi])
-        filled += n
-        chunk_index += 1
+    for chunk_index, lo in enumerate(range(0, trials, _SAMPLE_CHUNK)):
+        u = out[lo:lo + _SAMPLE_CHUNK]
+        np.random.Generator(np.random.Philox(key=[seed, chunk_index])).random(out=u)
+        invert(u)
     return ReadingSample._adopt(out)
 
 
@@ -435,7 +419,7 @@ def simultaneous(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]
     for spec in specs:
         check_dimensions(spec.observable, ens)
     rows = ens.post.amplitudes.conj()[None, :]
-    branches = np.zeros((1, 0), dtype=np.intp)  # eigenvalue index t_m of each live branch
+    shifts = np.zeros((1, 0))  # g_m * a_{m,t_m} of each live branch, one column per pointer
     for spec in specs:
         stack = spec.observable.projectors
         k = len(stack)
@@ -444,12 +428,11 @@ def simultaneous(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]
                 f"{len(rows)} live branches times {k} eigenvalues exceeds "
                 f"MAX_JOINT_TERMS = {MAX_JOINT_TERMS}")
         rows = (rows[:, None, None, :] @ stack).reshape(-1, ens.dim)
-        branches = np.column_stack([np.repeat(branches, k, axis=0),
-                                    np.tile(np.arange(k), len(branches))])
+        shifts = np.column_stack([
+            np.repeat(shifts, k, axis=0),
+            np.tile(spec.g * np.array(spec.observable.eigenvalues), len(shifts))])
         live = np.any(rows != 0.0, axis=1)
-        rows, branches = rows[live], branches[live]
-    shifts = [spec.g * np.array(spec.observable.eigenvalues)[branches[:, m]]
-              for m, spec in enumerate(specs)]
-    w = _overlap_weights(rows @ ens.pre.amplitudes, shifts, [s.delta for s in specs])
+        rows, shifts = rows[live], shifts[live]
+    w = _overlap_weights(rows @ ens.pre.amplitudes, shifts.T, [s.delta for s in specs])
     total = w.sum()
-    return [float((w * (np.add.outer(s, s) / 2.0)).sum() / total) for s in shifts]
+    return [float((w * (np.add.outer(s, s) / 2.0)).sum() / total) for s in shifts.T]

@@ -17,8 +17,8 @@ import pytest
 
 from weakmeas import hardy
 from weakmeas.collective import CollectiveSpec, CollectiveStats
-from weakmeas.pointer import ReadingSample, WeakEstimate
-from weakmeas.prepost import AblDistribution, WeakValue, certainty_check
+from weakmeas.pointer import CouplingSpec, PointerMixture, ReadingSample, WeakEstimate
+from weakmeas.prepost import AblDistribution, PrePostEnsemble, WeakValue, certainty_check
 from weakmeas.qcore import Observable, StateVector
 
 # each module's public functions and classes: the names it defines that do
@@ -122,11 +122,23 @@ def test_value_type_fields():
     assert field_names(WeakEstimate) == ("estimate", "stderr")
 
 
+# every public field, property and method of each value class
 @pytest.mark.parametrize("cls, members", [
     (WeakValue, ["value"]),
     (AblDistribution, ["entries"]),
     (CollectiveSpec, ["delta", "ensemble", "g", "in_regime", "n_pairs", "observable"]),
-], ids=["WeakValue", "AblDistribution", "CollectiveSpec"])
+    (PointerMixture, ["coefficients", "delta", "shifts"]),
+    (CouplingSpec, ["delta", "g", "is_weak", "observable", "spectral_span"]),
+    (ReadingSample, ["readings"]),
+    (WeakEstimate, ["estimate", "stderr"]),
+    (CollectiveStats, ["mean", "mode", "spread"]),
+    (StateVector, ["amplitudes", "dim", "is_normalized", "norm", "normalized"]),
+    (Observable, ["dim", "eigenvalues", "from_matrix", "matrix", "projectors"]),
+    (PrePostEnsemble, ["dim", "overlap", "post", "pre"]),
+    (hardy.HardyScenario, ["ensemble", "initial", "observable", "observables"]),
+], ids=["WeakValue", "AblDistribution", "CollectiveSpec", "PointerMixture", "CouplingSpec",
+        "ReadingSample", "WeakEstimate", "CollectiveStats", "StateVector", "Observable",
+        "PrePostEnsemble", "HardyScenario"])
 def test_value_types_hand_out_only_their_fields(cls, members):
     # a member that only returns what its caller already holds is not API
     public = set(field_names(cls)) | {name for name in dir(cls) if not name.startswith("_")}

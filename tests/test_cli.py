@@ -305,6 +305,14 @@ class TestConfigFile:
         assert (code, out) == (2, "") and not out_file.exists()
         assert err == f"error: config: {cfg}:1: {command} takes no {key!r}\n"
 
+    @pytest.mark.parametrize("command", ["weak-measure", "collective"])
+    def test_pdf_points_from_the_file_needs_csv(self, command, tmp_path, capsys):
+        cfg = tmp_path / "pdf.cfg"
+        cfg.write_text("pdf_points = 64\n")
+        code, out, err = run_cli([command, "--observable", "N_minus_O", "--config", str(cfg)],
+                                 capsys)
+        assert (code, out, err) == (2, "", "error: config: --pdf-points needs --format csv\n")
+
     def test_common_keys_are_taken_by_every_command(self, tmp_path, capsys):
         cfg = tmp_path / "common.cfg"
         out_file = tmp_path / "doc.json"
@@ -539,6 +547,7 @@ _FUZZ_FLAGS = {
                    "--n-pairs": ["0", "-1"], "--pdf-points": _PDF_POINTS},
 }
 _FUZZ_CONFIG = ["g = -1", "delta = nan", "trials = 0"]  # the same rules, from a config file
+_FUZZ_NEEDS = {"--pdf-points": ["--format", "csv"]}  # the flags a fuzzed flag is taken with
 # out of the domain, so exit exactly 2; 1e300 is in it and may exit 0 or 3, except a
 # delta of 1e300, above pointer.MAX_DELTA; 1e-300 is out as a g or a delta
 # (below pointer.MIN_G_OVER_DELTA and pointer.MIN_DELTA)
@@ -548,7 +557,7 @@ _ALWAYS_OUT = {"--trials", "--seed", "--n-pairs", "--pdf-points", "--config"}
 
 
 @pytest.mark.parametrize("argv", [
-    [command, *_FUZZ_BASE[command], flag, value]
+    [command, *_FUZZ_BASE[command], *_FUZZ_NEEDS.get(flag, []), flag, value]
     for command, flags in _FUZZ_FLAGS.items()
     for flag, values in flags.items()
     for value in values
@@ -584,16 +593,23 @@ def test_hostile_input_fails_cleanly(argv, tmp_path, capsys):
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, module, name", [
-    (["weak-measure", *_FUZZ_BASE["weak-measure"], "--pdf-points", "1"], pointer, "sample"),
-    (["collective", *_FUZZ_BASE["collective"], "--pdf-points", "1"],
-     collective, "collective_pointer_stats"),
-], ids=["weak-measure", "collective"])
-def test_pdf_points_judged_before_the_work(argv, module, name, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, module, name, error", [
+    (["weak-measure", *_FUZZ_BASE["weak-measure"], "--format", "csv", "--pdf-points", "1"],
+     pointer, "sample", "points must be"),
+    (["collective", *_FUZZ_BASE["collective"], "--format", "csv", "--pdf-points", "1"],
+     collective, "collective_pointer_stats", "points must be"),
+    # the q,pdf table is CSV only: a JSON run with --pdf-points builds nothing
+    (["weak-measure", *_FUZZ_BASE["weak-measure"], "--pdf-points", "64"],
+     pointer, "sample", "--pdf-points needs --format csv\n"),
+    (["collective", *_FUZZ_BASE["collective"], "--pdf-points", "64"],
+     collective, "density_grid", "--pdf-points needs --format csv\n"),
+], ids=["weak-measure", "collective", "weak-measure-json", "collective-json"])
+def test_pdf_points_judged_before_the_work(argv, module, name, error, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} ran before --pdf-points was judged")
 
     monkeypatch.setattr(module, name, refuse)
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: config: points must be")
+    assert err.startswith(f"error: config: {error}")
+    assert err.count("\n") == 1
