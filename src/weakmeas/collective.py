@@ -111,8 +111,9 @@ def _momentum_pointer(spec: CollectiveSpec):
     """psi~(p) on a uniform grid (peak |psi~| = 1), with the position mean and variance.
 
     The grid reaches where |psi~|^2 has fallen below exp(-EDGE_LOG_DECAY) of
-    its peak and resolves the pointer width, the binomial envelope and the
-    scan window.  The moments are recomputed from every second point; a
+    its peak and resolves the binomial envelope and the scan window; the
+    window spans at least 10 delta, so its step also resolves the pointer
+    width.  The moments are recomputed from every second point; a
     disagreement means the step was too coarse and raises instead of
     returning an unconverged number.
     """
@@ -123,14 +124,13 @@ def _momentum_pointer(spec: CollectiveSpec):
     b = spec.g * (a1 - a0)
     ratio = max((abs(alpha0) + abs(alpha1)) / abs(alpha0 + alpha1), 1.0)
     p_max = math.sqrt(2.0 * (2.0 * n * math.log(ratio) + EDGE_LOG_DECAY)) / delta
-    step = min(math.pi / (2.0 * _window(spec)[-1]),
-               1.0 / (8.0 * abs(b) * math.sqrt(n)),
-               1.0 / (2.0 * delta))
-    half = 2 * math.ceil(p_max / (2.0 * step))
-    if 2 * half + 1 > MAX_GRID_POINTS:
+    step = min(math.pi / (2.0 * _window(spec)[-1]), 1.0 / (8.0 * abs(b) * math.sqrt(n)))
+    quarter = p_max / (2.0 * step)  # inf when the window overflows
+    if not quarter <= (MAX_GRID_POINTS - 1) // 4:  # NaN fails too
         raise QuadratureError(
-            f"momentum grid needs {2 * half + 1} points, above the cap of "
+            f"momentum grid needs {4 * quarter + 1:.3g} points, above the cap of "
             f"{MAX_GRID_POINTS}; reduce n_pairs or widen delta")
+    half = 2 * math.ceil(quarter)
     p = step * np.arange(-half, half + 1)
     rot = np.exp(-1j * b * p)
     f = alpha0 + alpha1 * rot

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import reduce
-from math import ceil, comb, pi, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -33,6 +33,8 @@ EXPECTED_TABLE = {
 CERTAIN_SEVEN = tuple(name for name in hardy.OBSERVABLE_ORDER if name != "N_pair_NO_NO")
 
 MC_SEED = 20260810
+MC_TRIALS = 100_000
+KS_D_CRITICAL = 0.005145321961471824  # scipy.stats.kstwo.isf(0.01, MC_TRIALS)
 ADDITIVITY_SEED = 1337
 ADDITIVITY_TRIALS = 1000
 
@@ -251,83 +253,35 @@ def _ks_statistic(cdfvals: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _ks_pvalue(n: int, d: float) -> float:
-    """P(D_n >= d) for the two-sided one-sample KS statistic, clipped to [0, 1].
-
-    One minus the Pelz-Good (1976) large-n expansion of the CDF, term by term
-    as ``scipy.stats.kstwo.sf`` evaluates it in the branch Simard & L'Ecuyer
-    (2011) select for n d^2 < 2.2 when n > 10^5 or n d^1.5 > 1.4.  Criterion 8
-    (n = 10^5, n d^2 about 1.3) lies there, and the two agree bit for bit.
-    Above n d^2 = 2.2 scipy switches to 2 smirnov(n, d), which this misses by
-    at most about 5e-8 at n = 10^5.
-    """
-    if d <= 0.0:
-        return 1.0
-    if d >= 1.0:
-        return 0.0
-    z = sqrt(n) * d
-    z2, z4, z6 = z**2, z**4, z**6  # as pow, like scipy: z * z can differ in the last bit
-    if z2 < pi**2 / 8 / 708:  # q underflows: z below about 0.0417, where the CDF is 0
-        return 1.0
-    q = np.exp(-pi**2 / 8 / z2)
-    sqrt2pi = sqrt(2.0 * pi)
-    # K0..K3 as sums of c(m) q^(m^2) over odd m, one Horner pass for all four
-    maxk = ceil(16 * z / pi)
-    k = np.arange(maxk, 0, -1)
-    m2 = (2 * k - 1) ** 2
-    coeffs = np.array([
-        np.ones(maxk),
-        -z2 + pi**2 / 4 * m2,
-        6 * z6 + 2 * z4 + (2 * z4 - 5 * z2) * pi**2 / 4 * m2 + pi**4 * (1 - 2 * z2) / 16 * m2**2,
-        -30 * z6 - 90 * z**8 + pi**2 * (135 * z4 - 96 * z6) / 4 * m2
-        + pi**4 * (-60 * z2 + 212 * z4) / 16 * m2**2 + pi**6 * (5 - 30 * z2) / 64 * m2**3,
-    ])
-    terms = np.zeros(4)
-    for kk, c in zip(k, coeffs.T):
-        terms *= q ** (8 * kk)
-        terms += c
-    terms *= q
-    terms *= sqrt2pi
-    terms /= [z, 6 * z4, 72 * z**7, 6480 * z**10]
-    # the sums of K2 and K3 over all integers k
-    q = np.exp(-pi**2 / 2 / z2)
-    k2 = k**2
-    qk2 = q**k2
-    terms[2] += np.sum(k2 * qk2) * (pi**2 * sqrt2pi / (-36 * z**3))
-    sqrt3z = sqrt(3.0) * z
-    terms[3] += (np.sum((sqrt3z + pi * k) * (sqrt3z - pi * k) * k2 * qk2)
-                 * (pi**2 * sqrt2pi / (216 * z6)))
-    terms /= np.power(float(n), np.arange(4) / 2.0)
-    return min(max(1.0 - float(sum(terms)), 0.0), 1.0)
-
-
 def check_monte_carlo() -> tuple[bool, str]:
-    """A pull and a KS p-value per observable; observables whose mixtures are
-    bit-identical (the eight Hardy ones are four) share one sample and test."""
+    """A pull and a KS distance per observable; observables whose mixtures are
+    bit-identical (the eight Hardy ones are four) share one sample and test.
+    D below the 1% critical value is a KS p-value above 0.01: P(D_n >= d) falls in d."""
     sc = hardy.build()
     table = {k: v.real for k, v in hardy.weak_value_table(sc).items()}
-    g, delta, trials = 0.05, 1.0, 100_000
-    pulls = []
-    pvalues = [1.0]
-    runs = {}  # (coefficients, shifts) bytes -> (estimate, KS p-value)
+    g, delta = 0.05, 1.0
+    pulls, distances = [], []
+    runs = {}  # (coefficients, shifts) bytes -> (estimate, KS distance)
     for name in hardy.OBSERVABLE_ORDER:
         m = pointer.mixture(sc.ensemble, pointer.CouplingSpec(sc.observable(name), g, delta))
         key = (m.coefficients.tobytes(), m.shifts.tobytes())
         if key not in runs:
-            reading = pointer.sample(m, trials, seed=MC_SEED)
+            reading = pointer.sample(m, MC_TRIALS, seed=MC_SEED)
             # bytewise, as comparing tobytes() is, without two byte copies; the
             # resample and the CDF values are freed as soon as they are used
             if not np.array_equal(reading.readings.view(np.uint64),
-                                  pointer.sample(m, trials, seed=MC_SEED).readings.view(np.uint64)):
+                                  pointer.sample(m, MC_TRIALS, seed=MC_SEED).readings.view(np.uint64)):
                 return False, f"{name}: same seed produced different readings"
             d = _ks_statistic(pointer.position_cdf(m, np.sort(reading.readings)))
-            runs[key] = pointer.estimate(reading, g), _ks_pvalue(trials, d)
-        est, pvalue = runs[key]
+            runs[key] = pointer.estimate(reading, g), d
+        est, d = runs[key]
         pulls.append(abs(est.estimate - table[name]) / est.stderr)
-        pvalues.append(pvalue)
-    worst_pulls, worst_p = _worst(pulls), _worst(pvalues, np.min)
-    ok = worst_pulls <= 3.0 and worst_p > 0.01
-    return ok, f"worst |estimate - A_w|/stderr = {worst_pulls:.2f}; worst KS p-value = {worst_p:.3f}"
+        distances.append(d)
+    worst_pulls, worst_d = _worst(pulls), _worst(distances)
+    ok = worst_pulls <= 3.0 and worst_d < KS_D_CRITICAL
+    root_n = sqrt(MC_TRIALS)
+    return ok, (f"worst |estimate - A_w|/stderr = {worst_pulls:.2f}; worst KS sqrt(n) D = "
+                f"{root_n * worst_d:.3f} (1% critical value {root_n * KS_D_CRITICAL:.3f})")
 
 
 def check_simultaneous() -> tuple[bool, str]:

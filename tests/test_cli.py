@@ -19,6 +19,11 @@ from weakmeas.cli import build_parser, render_json, result_schema, run
 from weakmeas.pointer import MAX_PDF_POINTS, MAX_TRIALS
 
 
+# a collective window span that overflows: to inf, or to a 304-digit grid size
+_OVERFLOWED_GRIDS = [["collective", "--g", "1e300", "--n-pairs", "10000000000", "--delta", "1"],
+                     ["collective", "--g", "1e300", "--delta", "1"]]
+
+
 def run_cli(args, capsys):
     code = run(args)
     captured = capsys.readouterr()
@@ -129,6 +134,12 @@ class TestWeakMeasure:
         assert len(rows) == 64
         assert set(rows[0]) == {"q", "pdf"}
 
+    def test_pdf_points_need_a_single_observable(self, capsys):
+        code, out, err = run_cli(["weak-measure", "--observable", "all", "--seed", "1",
+                                  "--pdf-points", "10", "--format", "csv"], capsys)
+        assert (code, out, err) == (2, "", "error: config: --pdf-points needs a single "
+                                           "--observable\n")
+
     def test_pdf_rows_span_the_sampling_grid(self, capsys):
         # the rows cover the sampler's window, +-(max|shift| + 10 delta)
         code, out, _ = run_cli(
@@ -208,13 +219,28 @@ class TestCollective:
                         "--delta", "2.0"], capsys)
         assert doc["warnings"]
 
-    def test_oversized_quadrature_exits_3(self, capsys):
-        code, out, err = run_cli(["collective", "--n-pairs", "100000000"], capsys)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: computation: momentum grid")
-        assert "above the cap" in err
-        assert err.count("\n") == 1
+    def test_all_observables_exits_2(self, capsys):
+        code, out, err = run_cli(["collective", "--observable", "all"], capsys)
+        assert (code, out, err) == (2, "", "error: config: collective needs a single observable\n")
+
+    # the last two overflow the window span to inf, so the momentum step is 0
+    @pytest.mark.parametrize("argv", [["collective", "--n-pairs", "100000000"],
+                                      *_OVERFLOWED_GRIDS], ids=" ".join)
+    def test_oversized_quadrature_exits_3(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"error: computation: momentum grid needs (inf|\d\.\d\de\+\d+) "
+                            r"points, above the cap of 65536; reduce n_pairs or widen delta\n",
+                            err), err
+
+
+def test_arithmetic_error_exits_3(monkeypatch, capsys):
+    def overflow(params, provided):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli._COMMANDS, "hardy-table", (overflow, *cli._COMMANDS["hardy-table"][1:]))
+    code, out, err = run_cli(["hardy-table"], capsys)
+    assert (code, out, err) == (3, "", "error: computation: OverflowError: math range error\n")
 
 
 class TestVerify:
@@ -280,6 +306,19 @@ class TestConfigFile:
         cfg.write_text("gg = 1\n")
         code, _, err = run_cli(["hardy-table", "--config", str(cfg)], capsys)
         assert code == 2
+
+    def test_timing_from_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "timing.cfg"
+        cfg.write_text("timing = true\n")
+        doc = run_json(["hardy-table", "--config", str(cfg)], capsys)
+        assert isinstance(doc["timing_ms"], float)
+
+    def test_bad_bool_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("timing = maybe\n")
+        code, out, err = run_cli(["hardy-table", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", f"error: config: {cfg}:1: bad bool value 'maybe' "
+                                           "for timing\n")
 
     def test_bad_value_type_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -562,7 +601,7 @@ _ALWAYS_OUT = {"--trials", "--seed", "--n-pairs", "--pdf-points", "--config"}
     for flag, values in flags.items()
     for value in values
 ] + [["weak-measure", "--observable", "N_pair_NO_NO", "--seed", "1", "--config", line]
-     for line in _FUZZ_CONFIG], ids=" ".join)
+     for line in _FUZZ_CONFIG] + _OVERFLOWED_GRIDS, ids=" ".join)
 def test_hostile_input_fails_cleanly(argv, tmp_path, capsys):
     """Out-of-domain numbers exit 2, extreme ones 0 or 3: strict JSON or one error line."""
     flag, value = argv[-2:]

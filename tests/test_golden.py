@@ -6,6 +6,9 @@ mpmath implementation of the collective statistics; the CSV tables and the
 return plain dicts, and the three ``collective-*`` documents (the
 out-of-regime warning, the exact single-branch case and the ``density_grid``
 table) before the value types below ``hardy`` lost their unread fields.
+``verify.json``'s criterion 8 detail was rewritten once, when the check
+began to judge the KS distance against its 1% critical value instead of a
+p-value; its pull and its distance are the same numbers as before.
 Every document except ``collective.json`` must be reproduced byte for byte;
 ``collective.json`` now comes from a different quadrature, so its mean and
 spread are compared to 1e-9 and every other field, the mode included,

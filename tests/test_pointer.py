@@ -262,6 +262,14 @@ class TestMixture:
             PointerMixture(np.zeros(2, dtype=complex), np.array([0.0, 1.0]), 1.0)
 
     @pytest.mark.parametrize("coefficients, shifts", [
+        ([1.0, 0.5], [0.0]), ([1.0], [0.0, 1.0]), ([], [])], ids=["short-shifts",
+                                                                 "short-coefficients", "empty"])
+    def test_mismatched_or_empty_terms_rejected(self, coefficients, shifts):
+        with pytest.raises(ValueError,
+                           match="^need matching, non-empty coefficient and shift arrays$"):
+            PointerMixture(coefficients, shifts, 1.0)
+
+    @pytest.mark.parametrize("coefficients, shifts", [
         ([1.0, np.nan], [0.0, 1.0]),
         ([np.nan], [0.0]),
         ([1.0, complex(0.0, np.inf)], [0.0, 1.0]),

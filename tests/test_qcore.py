@@ -74,6 +74,10 @@ class TestStateVector:
         with pytest.raises(ValueError, match=f"^cannot normalize a vector of norm {norm}$"):
             StateVector(np.array(amps, dtype=complex)).normalized()
 
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match="^state vector must have positive dimension$"):
+            StateVector(np.array([], dtype=complex))
+
     def test_immutable(self):
         s = StateVector(np.array([1, 0], dtype=complex))
         with pytest.raises(ValueError):

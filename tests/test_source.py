@@ -8,9 +8,14 @@ and ``python -O`` strips asserts, so a check written as one would vanish.
 Every private name (one leading underscore) bound at module or class level
 is loaded or imported somewhere in the package, so a helper or constant
 whose last caller is gone does not linger.
+
+Every import, a function-level one included, is from the standard library,
+numpy or ``weakmeas`` itself: numpy is the one runtime dependency, and the
+cold-import test cannot see a lazy import on a path that it does not run.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +92,41 @@ class C:
 """
     assert dead_private_names([source]) == {"_LIMIT", "_helper", "_KEY", "_method"}
     assert dead_private_names([source, "from m import _LIMIT, _helper\nC._KEY"]) == {"_method"}
+
+
+ALLOWED_IMPORTS = sys.stdlib_module_names | {"numpy", "weakmeas"}
+
+
+def foreign_imports(tree: ast.AST) -> list[str]:
+    """Imports anywhere in ``tree`` of a package outside ``ALLOWED_IMPORTS``;
+    a relative import is of ``weakmeas``."""
+    offences = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        offences += [f"line {node.lineno}: {name}" for name in names
+                     if name.split(".")[0] not in ALLOWED_IMPORTS]
+    return offences
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_imports_only_the_standard_library_numpy_and_weakmeas(path):
+    assert foreign_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == []
+
+
+def test_import_rule_sees_function_level_imports():
+    source = """
+from __future__ import annotations
+import os.path, numpy as np
+from numpy.linalg import eigh
+from . import pointer
+from weakmeas.qcore import Observable
+def f():
+    from scipy import stats
+    import mpmath, json
+"""
+    assert foreign_imports(ast.parse(source)) == ["line 8: scipy", "line 9: mpmath"]

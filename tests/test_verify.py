@@ -1,13 +1,14 @@
 """``verify`` internals: its numpy KS test, its batched criterion 5, the
-failure branches of criteria 2, 3 and 4 and its worst-case folds.
+failure branches of criteria 2, 3, 4 and 10 and its worst-case folds.
 
-``verify`` computes the KS statistic and its p-value itself so that it never
-imports scipy; ``scipy.stats.kstest`` and ``kstwo`` stay here as the
-oracle.  Criterion 5 builds its observables in stacks and takes its weak
-values as one stacked product; the per-triple loop it replaced stays here as
-the oracle.  Criterion 8 samples each distinct pointer mixture once; the
-per-observable loop it replaced stays here as the oracle.  A NaN anywhere in
-a check's worst-case fold must fail the check.
+``verify`` computes the KS distance itself and judges it against one pinned
+1% critical value, so that it never imports scipy; ``scipy.stats.kstest``
+stays here as the oracle for the distance and ``kstwo`` for the critical
+value and the verdict.  Criterion 5 builds its observables in stacks and
+takes its weak values as one stacked product; the per-triple loop it
+replaced stays here as the oracle.  Criterion 8 samples each distinct
+pointer mixture once; the per-observable loop it replaced stays here as the
+oracle.  A NaN anywhere in a check's worst-case fold must fail the check.
 """
 
 import copy
@@ -29,7 +30,7 @@ import weakmeas
 from weakmeas import collective, hardy, pointer, prepost, verify
 from weakmeas.qcore import Observable, StateVector
 
-N = 100_000  # criterion 8's sample size
+N = verify.MC_TRIALS  # criterion 8's sample size
 
 
 @pytest.mark.parametrize("name", hardy.OBSERVABLE_ORDER)
@@ -40,31 +41,23 @@ def test_criterion_8_samples_match_kstest(scenario, name):
     ks = stats.kstest(readings, lambda x: pointer.position_cdf(m, x))
     d = verify._ks_statistic(pointer.position_cdf(m, np.sort(readings)))
     assert d == ks.statistic
-    assert abs(verify._ks_pvalue(N, d) - ks.pvalue) <= 1e-15
+    assert (d < verify.KS_D_CRITICAL) == (ks.pvalue > 0.01)
+
+
+def test_ks_critical_value_is_kstwos():
+    assert verify.KS_D_CRITICAL == pytest.approx(stats.kstwo.isf(0.01, N), rel=1e-9)
+    # the 1% level falls between the two sides of the pinned value
+    assert stats.kstwo.sf(verify.KS_D_CRITICAL * (1 - 1e-6), N) > 0.01
+    assert stats.kstwo.sf(verify.KS_D_CRITICAL * (1 + 1e-6), N) < 0.01
 
 
 # kstwo.sf takes about 0.1 s a point above n d^2 = 2.2 (its smirnov sum), so
-# that side of the grid is coarser
+# that side of the grid is coarser; no point lies within 1e-6 of the critical value
 @pytest.mark.parametrize("z", np.concatenate([np.arange(0.3, 1.48, 0.01),
                                               np.linspace(1.5, 6.0, 10)]))
-def test_pvalue_matches_kstwo(z):
+def test_verdict_matches_kstwo(z):
     d = float(z / np.sqrt(N))
-    p = verify._ks_pvalue(N, d)
-    ref = float(stats.kstwo.sf(d, N))
-    # scipy uses the same Pelz-Good expansion below n d^2 = 2.2, 2 smirnov above
-    assert abs(p - ref) <= (1e-15 if N * d * d < 2.2 else 1e-7)
-
-
-@pytest.mark.parametrize("d, expected", [(0.0, 1.0), (-0.5, 1.0), (1e-9, 1.0), (1e-300, 1.0),
-                                         (5e-324, 1.0), (1.0, 0.0), (2.0, 0.0)])
-def test_pvalue_edges(d, expected):
-    assert verify._ks_pvalue(N, d) == expected
-
-
-@pytest.mark.parametrize("n", [1, 10, 1000, N, 10**8])
-def test_pvalue_is_a_probability(n):
-    for d in np.geomspace(1e-7, 0.999, 400):
-        assert 0.0 <= verify._ks_pvalue(n, float(d)) <= 1.0
+    assert (d < verify.KS_D_CRITICAL) == (stats.kstwo.sf(d, N) > 0.01)
 
 
 def _random_ensemble(rng: np.random.Generator, dim: int) -> prepost.PrePostEnsemble:
@@ -131,12 +124,12 @@ def additivity_dims() -> list[int]:
 
 def monte_carlo_loop() -> tuple[bool, str]:
     """Criterion 8 one observable at a time: a sample, a resample, an estimate
-    and a KS test for each of the eight, repeated mixtures included."""
+    and a KS distance for each of the eight, repeated mixtures included."""
     sc = hardy.build()
     table = {k: v.real for k, v in hardy.weak_value_table(sc).items()}
-    g, delta, trials = 0.05, 1.0, 100_000
+    g, delta, trials = 0.05, 1.0, verify.MC_TRIALS
     pulls = []
-    pvalues = [1.0]
+    distances = []
     for name in hardy.OBSERVABLE_ORDER:
         spec = pointer.CouplingSpec(sc.observable(name), g=g, delta=delta)
         m = pointer.mixture(sc.ensemble, spec)
@@ -147,16 +140,19 @@ def monte_carlo_loop() -> tuple[bool, str]:
         est = pointer.estimate(reading, g)
         pulls.append(abs(est.estimate - table[name]) / est.stderr)
         cdfvals = pointer.position_cdf(m, np.sort(reading.readings))
-        pvalues.append(verify._ks_pvalue(trials, verify._ks_statistic(cdfvals)))
-    worst_pulls, worst_p = verify._worst(pulls), verify._worst(pvalues, np.min)
-    ok = worst_pulls <= 3.0 and worst_p > 0.01
-    return ok, f"worst |estimate - A_w|/stderr = {worst_pulls:.2f}; worst KS p-value = {worst_p:.3f}"
+        distances.append(verify._ks_statistic(cdfvals))
+    worst_pulls, worst_d = verify._worst(pulls), verify._worst(distances)
+    ok = worst_pulls <= 3.0 and worst_d < verify.KS_D_CRITICAL
+    root_n = math.sqrt(trials)
+    return ok, (f"worst |estimate - A_w|/stderr = {worst_pulls:.2f}; worst KS sqrt(n) D = "
+                f"{root_n * worst_d:.3f} (1% critical value {root_n * verify.KS_D_CRITICAL:.3f})")
 
 
 def test_monte_carlo_matches_the_per_observable_loop():
     result = verify.check_monte_carlo()
     assert result == monte_carlo_loop()
-    assert result == (True, "worst |estimate - A_w|/stderr = 1.28; worst KS p-value = 0.140")
+    assert result == (True, "worst |estimate - A_w|/stderr = 1.28; "
+                            "worst KS sqrt(n) D = 1.153 (1% critical value 1.627)")
 
 
 def counting(monkeypatch, target, name):
@@ -256,10 +252,16 @@ def _second_sum() -> tuple[int, int]:
     return 2 * list(dict.fromkeys(dims)).index(dims[1]) + 2, dims[:1].count(dims[1])
 
 
-def _nan_matrix(obs: Observable) -> Observable:
-    bad = copy.copy(obs)
-    object.__setattr__(bad, "matrix", np.full_like(obs.matrix, NAN))
+def _replaced(obj, **fields):
+    """A copy of a frozen dataclass with ``fields`` set, past its validation."""
+    bad = copy.copy(obj)
+    for name, value in fields.items():
+        object.__setattr__(bad, name, value)
     return bad
+
+
+def _nan_matrix(obs: Observable) -> Observable:
+    return _replaced(obs, matrix=np.full_like(obs.matrix, NAN))
 
 
 _SECOND_SUM_CALL, _SECOND_SUM_AT = _second_sum()
@@ -271,6 +273,13 @@ _SECOND_SUM_CALL, _SECOND_SUM_AT = _second_sum()
      lambda out: {**out, hardy.OBSERVABLE_ORDER[1]: complex(0.0, NAN)}),
     # the certainty of the first of the seven, after the NO·NO pair's
     (3, prepost, "certainty_check", {2}, lambda out: NAN),
+    # the NO·NO pair's probability of 1, after the call in its certainty check
+    (3, prepost, "abl_probabilities", {2},
+     lambda out: _replaced(out, entries=(out.entries[0], (out.entries[1][0], NAN)))),
+    # the top probability of the second of the seven, each after the call in its
+    # certainty check
+    (3, prepost, "abl_probabilities", {6},
+     lambda out: _replaced(out, entries=tuple((a, NAN) for a, _ in out.entries))),
     # the second entry of the direct table
     (4, hardy, "weak_value_table", {1},
      lambda out: {**out, hardy.OBSERVABLE_ORDER[1]: complex(NAN, 0.0)}),
@@ -282,18 +291,26 @@ _SECOND_SUM_CALL, _SECOND_SUM_AT = _second_sum()
     (6, pointer, "position_mean", {4, 5, 6}, lambda out: NAN),
     # the second window mass
     (7, pointer, "window_mass", {2}, lambda out: NAN),
-    # the second distinct mixture's estimate, then its KS p-value
+    # the second distinct mixture's estimate, then its KS distance
     (8, pointer, "estimate", {2}, lambda out: pointer.WeakEstimate(NAN, out.stderr)),
-    (8, verify, "_ks_pvalue", {2}, lambda out: NAN),
+    (8, verify, "_ks_statistic", {2}, lambda out: NAN),
     # the second Hardy pointer of the joint measurement
     (9, pointer, "simultaneous", {1}, lambda out: [out[0], NAN, *out[2:]]),
     # the N = 100 collective mean
     (10, collective, "collective_pointer_stats", {2},
      lambda out: collective.CollectiveStats(NAN, out.mode, out.spread)),
-], ids=["c1-weak_value_table", "c3-certainty_check", "c4-weak_value_table",
+    # the N = 100 collective mode
+    (10, collective, "collective_pointer_stats", {2},
+     lambda out: collective.CollectiveStats(out.mean, NAN, out.spread)),
+    # the second brute-force coefficient at N = 3
+    (10, pointer, "mixture", {2},
+     lambda out: _replaced(out, coefficients=np.array([out.coefficients[0], NAN,
+                                                       *out.coefficients[2:]]))),
+], ids=["c1-weak_value_table", "c3-certainty_check", "c3-pair_odds", "c3-certainty_probability",
+        "c4-weak_value_table",
         "c5-from_matrices", "c6-position_mean",
-        "c7-window_mass", "c8-estimate", "c8-ks_pvalue", "c9-simultaneous",
-        "c10-collective_mean"])
+        "c7-window_mass", "c8-estimate", "c8-ks_statistic", "c9-simultaneous",
+        "c10-collective_mean", "c10-collective_mode", "c10-brute_force"])
 def test_nan_in_second_item_fails_the_check(monkeypatch, criterion, module, name, calls,
                                             poison):
     real = getattr(module, name)
@@ -307,6 +324,11 @@ def test_nan_in_second_item_fails_the_check(monkeypatch, criterion, module, name
     result = verify.run_check(criterion)
     assert not result.passed, result.detail
     assert "nan" in result.detail
+
+
+def test_unknown_criterion_raises_key_error():
+    with pytest.raises(KeyError, match="no criterion 12"):
+        verify.run_check(12)
 
 
 @pytest.mark.parametrize("name, value, criterion, detail", [
