@@ -24,7 +24,7 @@ on one uniform p-grid (the integrand is smooth and decays like a Gaussian,
 so the rule converges exponentially).  The grid is checked by recomputing the
 moments from every second point; an unresolved or oversized grid raises
 QuadratureError.  The mode and the plotting density transform the same
-psi~ back to position space.
+psi~ back to position space by a chirp-z transform: one FFT convolution.
 
 ``CollectiveSpec`` judges N (an integer >= 1) once.  The statistics are plain
 (mean, mode, spread); ``spec.in_regime`` says whether the coupling is weak.
@@ -154,17 +154,17 @@ def _momentum_pointer(spec: CollectiveSpec):
 def _density_scan(p: np.ndarray, psi: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Unnormalized position density |sum_j psi~_j exp(i p_j q)|^2 on a uniform grid.
 
-    Writing q = grid[0] + step*i and i = a*rows + c factors exp(i p q) into
-    a (rows x m) matrix shared by every block of rows and one phase per
-    block, so the scan is a single matrix product costing O(sqrt(count)*m)
-    exponentials, not count*m.
+    A chirp-z scan (Bluestein 1970): with p_j = j*dp, q_i = q_0 + i*dq and
+    theta = dp*dq, p_j q_i = p_j q_0 + theta*(j^2 + i^2 - (i-j)^2)/2, so the
+    sum is a phase times one FFT convolution with exp(-i theta k^2/2).
     """
-    start, step, count = grid[0], grid[1] - grid[0], grid.size
-    rows = math.isqrt(count - 1) + 1
-    blocks = -(-count // rows)
-    within = np.exp(1j * np.outer(step * np.arange(rows), p))
-    offsets = np.exp(1j * np.outer(p, start + step * rows * np.arange(blocks)))
-    return (np.abs(within @ (offsets * psi[:, None])) ** 2).T.ravel()[:count]
+    m, count, h = p.size, grid.size, p.size // 2
+    theta = (p[-1] - p[0]) / (m - 1) * (grid[-1] - grid[0]) / (count - 1)
+    a = psi * np.exp(1j * (p * grid[0] + theta / 2 * np.arange(-h, h + 1) ** 2))
+    chirp = np.exp(-1j * theta / 2 * np.arange(-h, count + h) ** 2)
+    size = 1 << (count + m - 2).bit_length()  # a power of two >= count + m - 1
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(chirp, size))
+    return np.abs(conv[m - 1:m - 1 + count]) ** 2
 
 
 def _mode_search(spec: CollectiveSpec, p: np.ndarray, psi: np.ndarray) -> float:

@@ -186,8 +186,8 @@ def check_additivity() -> tuple[bool, str]:
                                 (t, pre, post, overlap, rng.standard_normal((4, dim, dim)))):
             column.append(item)
     errs = np.empty(ADDITIVITY_TRIALS)
-    for dim, columns in draws.items():
-        index, pre, post, overlap, normals = map(np.array, columns)
+    for dim in list(draws):  # each dimension's draws are freed once stacked
+        index, pre, post, overlap, normals = map(np.array, draws.pop(dim))
         g = normals[:, 0::2] + 1j * normals[:, 1::2]  # each trial's (A, B) draws
         herms = ((g + g.conj().swapaxes(2, 3)) / 2.0).reshape(-1, dim, dim)
         ab = np.array([x.matrix for x in Observable._from_matrices(herms)]).reshape(g.shape)

@@ -233,6 +233,30 @@ class TestCollective:
                             r"points, above the cap of 65536; reduce n_pairs or widen delta\n",
                             err), err
 
+    def test_peak_rss_at_the_limits(self, tmp_path):
+        # a momentum grid near 6*10^4 points and the most --pdf-points; with
+        # the scan as two sqrt(points) x m factor matrices the peak is near
+        # 934 MB.  A child's ru_maxrss also counts the peak of the process it
+        # was spawned from, so a bare launcher spawns the command and reports
+        # its exit code and ru_maxrss (KiB on Linux).
+        launcher = ("import os, subprocess, sys\n"
+                    "with open(sys.argv[1], 'wb') as out:\n"
+                    "    proc = subprocess.Popen(sys.argv[2:], stdout=out)\n"
+                    "    _, status, usage = os.wait4(proc.pid, 0)\n"
+                    "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+                    "print(proc.returncode, usage.ru_maxrss)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1])}
+        out = tmp_path / "pdf.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, str(out), sys.executable, "-m", "weakmeas.cli",
+             "collective", "--n-pairs", "100000", "--pdf-points", str(MAX_PDF_POINTS),
+             "--format", "csv"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss_kib = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == MAX_PDF_POINTS + 1
+        assert maxrss_kib < 128 * 1024
+
 
 def test_arithmetic_error_exits_3(monkeypatch, capsys):
     def overflow(params, provided):
@@ -629,6 +653,8 @@ def test_hostile_input_fails_cleanly(argv, tmp_path, capsys):
     else:
         assert out == ""
         assert err.startswith(("error: config:", "error: computation:"))
+        # a judged failure, not a Python exception name from cli.run's catch-all
+        assert not re.match(r"error: computation: \w+Error: ", err), err
         assert err.count("\n") == 1
 
 

@@ -6,6 +6,7 @@ against the arbitrary-precision position-space oracle in ``mpmath_oracle``.
 Small N is also checked against the explicit N+1 term binomial mixture.
 """
 
+import tracemalloc
 from math import comb, sqrt
 
 import mpmath_oracle
@@ -257,6 +258,17 @@ class TestPointerStats:
             assert abs(stats.mean + n) <= sqrt(n), f"c={c}"
 
 
+def direct_density(p, psi, grid):
+    """|sum_j psi~_j exp(i p_j q)|^2 term by term, 64 values of q at a time."""
+    parts = np.stack([psi.real, psi.imag], axis=1)
+    rows = []
+    for q in np.array_split(grid, -(-grid.size // 64)):
+        phase = np.outer(q, p)
+        (cr, ci), (sr, si) = (np.cos(phase) @ parts).T, (np.sin(phase) @ parts).T
+        rows.append((cr - si) ** 2 + (ci + sr) ** 2)
+    return np.concatenate(rows)
+
+
 class TestDensityGrid:
     def test_normalized_and_peaked_at_mode(self, scenario):
         n = 25
@@ -281,6 +293,32 @@ class TestDensityGrid:
         grid, pdf = density_grid(make_spec(scenario, n=4), points)
         assert grid.size == pdf.size == points
         assert np.isfinite(pdf).all()
+
+    @pytest.mark.parametrize("n", [25, 400, 10_000])
+    @pytest.mark.parametrize("c", [1.0, 5.0])
+    def test_scan_matches_the_direct_sum(self, scenario, n, c):
+        spec = make_spec(scenario, n=n, g=1.0, delta=c * sqrt(n))
+        p, psi, _, _ = collective._momentum_pointer(spec)
+        grids = {points: collective._window(spec, points) for points in (2, 3, 256, 4096)}
+        refs = {points: direct_density(p, psi, grid) for points, grid in grids.items()}
+        peak = refs[4096].max()
+        for points, grid in grids.items():
+            ref, scan = refs[points], collective._density_scan(p, psi, grid)
+            np.testing.assert_allclose(scan, ref, rtol=0.0, atol=1e-10 * peak)
+            if ref.max() > 1e-6 * peak:  # at 2 points both window edges are rounding noise
+                assert np.argmax(scan) == np.argmax(ref), points
+
+    def test_working_set_at_the_limits(self, scenario):
+        # N = 10^5 (a momentum grid near 6*10^4 points) at the most points;
+        # near 940 MB with the scan as two sqrt(points) x m factor matrices
+        spec = make_spec(scenario, n=100_000, g=0.05, delta=5.0 * 0.05 * sqrt(100_000))
+        tracemalloc.start()
+        try:
+            density_grid(spec, MAX_PDF_POINTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 def assert_matches_oracle(spec):

@@ -9,6 +9,9 @@ table) before the value types below ``hardy`` lost their unread fields.
 ``verify.json``'s criterion 8 detail was rewritten once, when the check
 began to judge the KS distance against its 1% critical value instead of a
 p-value; its pull and its distance are the same numbers as before.
+``collective-pdf.csv``'s pdf column was rewritten once, when the density
+scan became a chirp-z transform; its q column is the same, and every pdf
+value moved by less than 3e-13 of the peak.
 Every document except ``collective.json`` must be reproduced byte for byte;
 ``collective.json`` now comes from a different quadrature, so its mean and
 spread are compared to 1e-9 and every other field, the mode included,

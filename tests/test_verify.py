@@ -209,14 +209,18 @@ def test_monte_carlo_fails_when_a_resample_differs(monkeypatch):
 
 
 @pytest.mark.parametrize("check, bound", [
-    # the A/B build at d = 6 (394 members) peaks near 4.6 MB; with its
-    # (n, k, d, d) stack of terms materialised, 5.8 MB
-    (verify.check_additivity, 5.2e6),
+    # the A/B build at d = 6 (394 members) peaks near 4.0 MB; with every
+    # dimension's draws held until the last stack, 4.6 MB, and with its
+    # (n, k, d, d) stack of terms materialised too, 5.8 MB
+    (verify.check_additivity, 4.4e6),
     # a sample, its sorted copy and their CDF values, near 3.1 MB; with
     # tobytes() copies, whole-chunk inversion and the last mixture's arrays
     # held into the next, 6.0 MB
     (verify.check_monte_carlo, 4.5e6),
-], ids=["c5", "c8"])
+    # the N = 400 momentum grid and its chirp-z scan, near 1.1 MB; with the
+    # scan as a product of two sqrt(points) x m factor matrices, 2.6 MB
+    (verify.check_collective, 1.6e6),
+], ids=["c5", "c8", "c10"])
 def test_check_working_set(check, bound):
     check()
     tracemalloc.start()
