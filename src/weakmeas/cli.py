@@ -289,9 +289,11 @@ def _cmd_collective(params: dict, provided: set[str]):
         warnings.append(f"delta={spec.delta:g} below collective weak-regime scale "
                         f"g*sqrt(N)={spec.g * math.sqrt(spec.n_pairs):g}; "
                         "results describe a strong measurement")
-    if params["pdf_points"] is not None:  # judged before the statistics
+    inputs = {"observable": names[0], "n_pairs": n, "g": params["g"],
+              "delta": delta, "c": params["c"], "postselect": params["postselect"]}
+    if params["pdf_points"] is not None:  # the q,pdf table is all a CSV run prints
         grid, pdf = collective.density_grid(spec, params["pdf_points"])
-        rows = [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
+        return {}, inputs, warnings, [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
     stats = collective.collective_pointer_stats(spec)
     results = {
         "mean": stats.mean,
@@ -305,11 +307,7 @@ def _cmd_collective(params: dict, provided: set[str]):
         "collective_weak_value": _cx(collective.collective_weak_value(spec)),
         "delta": delta,
     }
-    if params["pdf_points"] is None:
-        rows = [("name", "value")] + [(k, v) for k, v in results.items()
-                                      if not isinstance(v, dict)]
-    inputs = {"observable": names[0], "n_pairs": n, "g": params["g"],
-              "delta": delta, "c": params["c"], "postselect": params["postselect"]}
+    rows = [("name", "value")] + [(k, v) for k, v in results.items() if not isinstance(v, dict)]
     return results, inputs, warnings, rows
 
 

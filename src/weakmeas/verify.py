@@ -326,18 +326,17 @@ def check_collective() -> tuple[bool, str]:
             return False, f"N={n}: density mode {st.mode:.3f} not negative"
         details.append(f"N={n}: mean/g={st.mean / g:.2f}, mode={st.mode:.2f}")
 
-    # brute-force tensor cross-check at N = 2, 3 against the binomial coefficients
+    # brute-force tensor cross-check at N = 2, 3 against the binomial coefficients:
+    # the pair count is diagonal in the product basis, so c_k = <post|P_k|pre> is
+    # the sum over the basis states holding k NO·NO pairs
     alpha0, alpha1 = prepost.branch_amplitudes(obs, sc.ensemble)
+    per_pair = np.diag(obs.matrix).real
     for n in (2, 3):
         big_pre = reduce(np.kron, [sc.ensemble.pre.amplitudes] * n)
         big_post = reduce(np.kron, [sc.ensemble.post.amplitudes] * n)
-        eye = np.eye(4, dtype=complex)
-        total = sum(reduce(np.kron, [obs.matrix if j == k else eye for j in range(n)])
-                    for k in range(n))
-        ens_n = prepost.PrePostEnsemble(StateVector(big_pre), StateVector(big_post))
-        brute = pointer.mixture(
-            ens_n, pointer.CouplingSpec(Observable.from_matrix(total), g=0.05, delta=1.0))
-        dev = _worst(abs(brute.coefficients[k] - comb(n, k) * alpha1**k * alpha0**(n - k))
+        pairs = reduce(np.add.outer, [per_pair] * n).ravel()
+        dev = _worst(abs(np.vdot(big_post[pairs == k], big_pre[pairs == k])
+                         - comb(n, k) * alpha1**k * alpha0**(n - k))
                      for k in range(n + 1))
         if not dev <= 1e-10:
             return False, f"N={n}: brute-force coefficients deviate by {dev:.2e}"

@@ -678,3 +678,17 @@ def test_pdf_points_judged_before_the_work(argv, module, name, error, monkeypatc
     assert (code, out) == (2, "")
     assert err.startswith(f"error: config: {error}")
     assert err.count("\n") == 1
+
+
+def test_collective_pdf_table_computes_no_statistics(monkeypatch, capsys):
+    # the CSV run prints only the q,pdf table; the statistics' second momentum
+    # quadrature and mode search would be work it never shows
+    def refuse(*args, **kwargs):
+        raise AssertionError("collective_pointer_stats ran for a q,pdf table")
+
+    monkeypatch.setattr(collective, "collective_pointer_stats", refuse)
+    code, out, err = run_cli(["collective", *_FUZZ_BASE["collective"], "--format", "csv",
+                              "--pdf-points", "64"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("q,pdf\n")
+    assert out.count("\n") == 65

@@ -19,7 +19,7 @@ from spectral_oracle import (
     stacked_validate,
 )
 
-from weakmeas import verify
+from weakmeas import cli, verify
 from weakmeas.errors import DimensionMismatchError
 from weakmeas.qcore import Observable, StateVector, inner, tensor
 
@@ -626,3 +626,26 @@ class TestNonFinite:
     def test_nan_projector(self):
         with pytest.raises(ValueError, match="projectors do not sum to the identity"):
             observable(np.diag([1.0, 0.0]), (1.0, 0.0), (np.diag([1.0, np.nan]), self.P1))
+
+
+# one default run of each command; ``verify`` runs all eleven criteria
+_DEFAULT_RUNS = [["hardy-table"], ["detector-stats"], ["abl"],
+                 ["weak-measure", "--seed", "1", "--trials", "1000"],
+                 ["simultaneous"], ["collective"], ["verify"]]
+
+
+def test_every_observable_the_program_builds_is_in_scope(monkeypatch, capsys):
+    """The module docstring's scope, dim <= 16, holds for every matrix that
+    reaches the one eigensolve, ``Observable._from_matrices``."""
+    real = Observable._from_matrices
+    dims = []
+
+    def recorded(matrices):
+        dims.append(np.shape(matrices)[-1])
+        return real(matrices)
+
+    monkeypatch.setattr(Observable, "_from_matrices", recorded)
+    for argv in _DEFAULT_RUNS:
+        assert cli.run(argv) == 0, argv
+    capsys.readouterr()
+    assert dims and max(dims) <= 16, sorted(set(dims))

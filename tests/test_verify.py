@@ -217,9 +217,9 @@ def test_monte_carlo_fails_when_a_resample_differs(monkeypatch):
     # tobytes() copies, whole-chunk inversion and the last mixture's arrays
     # held into the next, 6.0 MB
     (verify.check_monte_carlo, 4.5e6),
-    # the N = 400 momentum grid and its chirp-z scan, near 1.1 MB; with the
-    # scan as a product of two sqrt(points) x m factor matrices, 2.6 MB
-    (verify.check_collective, 1.6e6),
+    # the N = 25, 100, 400 statistics, near 0.55 MB; with the N = 2, 3
+    # cross-check built as a 4^N operator, eigensolved and mixed, 1.1 MB
+    (verify.check_collective, 0.8e6),
 ], ids=["c5", "c8", "c10"])
 def test_check_working_set(check, bound):
     check()
@@ -306,10 +306,9 @@ _SECOND_SUM_CALL, _SECOND_SUM_AT = _second_sum()
     # the N = 100 collective mode
     (10, collective, "collective_pointer_stats", {2},
      lambda out: collective.CollectiveStats(out.mean, NAN, out.spread)),
-    # the second brute-force coefficient at N = 3
-    (10, pointer, "mixture", {2},
-     lambda out: _replaced(out, coefficients=np.array([out.coefficients[0], NAN,
-                                                       *out.coefficients[2:]]))),
+    # the NO·NO branch amplitude behind every binomial coefficient of the
+    # cross-check; ``collective`` binds its own name, so its statistics are untouched
+    (10, prepost, "branch_amplitudes", {1}, lambda out: (out[0], complex(NAN))),
 ], ids=["c1-weak_value_table", "c3-certainty_check", "c3-pair_odds", "c3-certainty_probability",
         "c4-weak_value_table",
         "c5-from_matrices", "c6-position_mean",
@@ -367,6 +366,20 @@ def test_identity_chain_fails_when_the_direct_table_disagrees(monkeypatch):
     result = verify.run_check(4)
     assert not result.passed
     assert result.detail == "derived table deviates from the direct one by 1.00e-09"
+
+
+def test_collective_fails_when_the_binomial_coefficients_disagree(monkeypatch):
+    # alpha_1 off by 1e-6 moves c_1 = 2 alpha_1 alpha_0 at N = 2 by 2 |alpha_0| 1e-6
+    real = prepost.branch_amplitudes
+
+    def shifted(a, ens):
+        alpha0, alpha1 = real(a, ens)
+        return alpha0, alpha1 + 1e-6
+
+    monkeypatch.setattr(prepost, "branch_amplitudes", shifted)
+    result = verify.run_check(10)
+    assert not result.passed
+    assert result.detail == "N=2: brute-force coefficients deviate by 1.15e-06"
 
 
 def _with_pre_oo(s, amplitude):
