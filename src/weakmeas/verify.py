@@ -37,6 +37,7 @@ MC_TRIALS = 100_000
 KS_D_CRITICAL = 0.005145321961471824  # scipy.stats.kstwo.isf(0.01, MC_TRIALS)
 ADDITIVITY_SEED = 1337
 ADDITIVITY_TRIALS = 1000
+ADDITIVITY_BATCH = 16  # criterion 5's trials per stacked build, at most
 
 
 def _worst(values, fold=np.max) -> float:
@@ -168,35 +169,44 @@ def check_identity_chain() -> tuple[bool, str]:
 
 def check_additivity() -> tuple[bool, str]:
     """(A+B)_w = A_w + B_w on random (pre, post, A, B) of dimension 2 to 6: per
-    dimension, the A and B of all trials are built as one stack, their A + B as
-    another, and all weak values <post|M|pre> / <post|pre> are one product."""
+    dimension, up to ADDITIVITY_BATCH trials at a time, the A and B are built
+    as one stack, their A + B as another, and all weak values
+    <post|M|pre> / <post|pre> are one product."""
     rng = np.random.default_rng(ADDITIVITY_SEED)
-    draws: dict[int, list[list]] = {}  # dim -> [trials, pres, posts, overlaps, normals]
+    # every trial's draws in four blocks, zero-padded to dimension 6: a few
+    # thousand small per-trial arrays leave the heap grown past their size
+    dims = np.empty(ADDITIVITY_TRIALS, dtype=int)
+    states = np.zeros((ADDITIVITY_TRIALS, 2, 6), dtype=complex)  # pre, post
+    overlaps = np.empty(ADDITIVITY_TRIALS, dtype=complex)
+    normals = np.zeros((ADDITIVITY_TRIALS, 4, 6, 6))
     for t in range(ADDITIVITY_TRIALS):
-        dim = int(rng.integers(2, 7))
+        dim = dims[t] = int(rng.integers(2, 7))
         while True:
             z = rng.standard_normal((4, dim))
             # np.linalg.norm's arithmetic for a complex vector, without its dispatch
             pre, post = (v / sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
                          for v in (z[0] + 1j * z[1], z[2] + 1j * z[3]))
-            overlap = np.vdot(post, pre)
-            if abs(overlap) > 1e-3:
+            overlaps[t] = np.vdot(post, pre)
+            if abs(overlaps[t]) > 1e-3:
                 break
-        for column, item in zip(draws.setdefault(dim, [[], [], [], [], []]),
-                                (t, pre, post, overlap, rng.standard_normal((4, dim, dim)))):
-            column.append(item)
+        states[t, 0, :dim], states[t, 1, :dim] = pre, post
+        normals[t, :, :dim, :dim] = rng.standard_normal((4, dim, dim))
     errs = np.empty(ADDITIVITY_TRIALS)
-    for dim in list(draws):  # each dimension's draws are freed once stacked
-        index, pre, post, overlap, normals = map(np.array, draws.pop(dim))
-        g = normals[:, 0::2] + 1j * normals[:, 1::2]  # each trial's (A, B) draws
-        herms = ((g + g.conj().swapaxes(2, 3)) / 2.0).reshape(-1, dim, dim)
-        ab = np.array([x.matrix for x in Observable._from_matrices(herms)]).reshape(g.shape)
-        sums = np.array([x.matrix for x in Observable._from_matrices(ab[:, 0] + ab[:, 1])])
-        mats = np.concatenate([ab, sums[:, None]], axis=1)  # (trials, 3, dim, dim)
-        wv = (post.conj()[:, None, None, :] @ (mats @ pre[:, None, :, None]))[..., 0, 0]
-        wv /= overlap[:, None]
-        diff = wv[:, 2] - (wv[:, 0] + wv[:, 1])
-        errs[index] = np.hypot(diff.real, diff.imag)  # bit for bit Python's abs of a complex
+    for dim in dict.fromkeys(dims.tolist()):  # first drawn first
+        trials = np.flatnonzero(dims == dim)
+        for lo in range(0, trials.size, ADDITIVITY_BATCH):
+            index = trials[lo:lo + ADDITIVITY_BATCH]
+            drawn = normals[index, :, :dim, :dim]
+            g = drawn[:, 0::2] + 1j * drawn[:, 1::2]  # each trial's (A, B) draws
+            herms = ((g + g.conj().swapaxes(2, 3)) / 2.0).reshape(-1, dim, dim)
+            ab = np.array([x.matrix for x in Observable._from_matrices(herms)]).reshape(g.shape)
+            sums = np.array([x.matrix for x in Observable._from_matrices(ab[:, 0] + ab[:, 1])])
+            mats = np.concatenate([ab, sums[:, None]], axis=1)  # (trials, 3, dim, dim)
+            pre, post = states[index, 0, :dim], states[index, 1, :dim]
+            wv = (post.conj()[:, None, None, :] @ (mats @ pre[:, None, :, None]))[..., 0, 0]
+            wv /= overlaps[index, None]
+            diff = wv[:, 2] - (wv[:, 0] + wv[:, 1])
+            errs[index] = np.hypot(diff.real, diff.imag)  # bit for bit Python's abs of a complex
     worst = _worst(errs)
     return (worst < 1e-10,
             f"{ADDITIVITY_TRIALS} random triples, worst |(A+B)_w - A_w - B_w| = {worst:.2e}")
@@ -268,12 +278,18 @@ def check_monte_carlo() -> tuple[bool, str]:
         if key not in runs:
             reading = pointer.sample(m, MC_TRIALS, seed=MC_SEED)
             # bytewise, as comparing tobytes() is, without two byte copies; the
-            # resample and the CDF values are freed as soon as they are used
+            # resample is freed as soon as it is compared
             if not np.array_equal(reading.readings.view(np.uint64),
                                   pointer.sample(m, MC_TRIALS, seed=MC_SEED).readings.view(np.uint64)):
                 return False, f"{name}: same seed produced different readings"
-            d = _ks_statistic(pointer.position_cdf(m, np.sort(reading.readings)))
-            runs[key] = pointer.estimate(reading, g), d
+            # each sample-sized array is dropped once the next is made from it
+            est = pointer.estimate(reading, g)
+            ordered = np.sort(reading.readings)
+            del reading
+            cdfvals = pointer.position_cdf(m, ordered)
+            del ordered
+            runs[key] = est, _ks_statistic(cdfvals)
+            del cdfvals
         est, d = runs[key]
         pulls.append(abs(est.estimate - table[name]) / est.stderr)
         distances.append(d)

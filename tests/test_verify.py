@@ -122,6 +122,19 @@ def additivity_dims() -> list[int]:
     return dims
 
 
+def additivity_batches() -> list[tuple[int, list[int]]]:
+    """Criterion 5's stacked builds in order, as (dimension, trials): the
+    dimensions in the order they are first drawn, each cut into batches of
+    ``ADDITIVITY_BATCH`` trials in draw order, the last one possibly short."""
+    dims = additivity_dims()
+    size = verify.ADDITIVITY_BATCH
+    batches = []
+    for dim in dict.fromkeys(dims):
+        trials = [t for t, d in enumerate(dims) if d == dim]
+        batches += [(dim, trials[lo:lo + size]) for lo in range(0, len(trials), size)]
+    return batches
+
+
 def monte_carlo_loop() -> tuple[bool, str]:
     """Criterion 8 one observable at a time: a sample, a resample, an estimate
     and a KS distance for each of the eight, repeated mixtures included."""
@@ -168,18 +181,22 @@ def counting(monkeypatch, target, name):
     return calls
 
 
-def test_additivity_builds_two_stacks_per_dimension_and_no_per_trial_objects(monkeypatch):
+def test_additivity_builds_two_stacks_per_batch_and_no_per_trial_objects(monkeypatch):
     states = counting(monkeypatch, StateVector, "__post_init__")
     ensembles = counting(monkeypatch, prepost.PrePostEnsemble, "__post_init__")
     weak_values = counting(monkeypatch, prepost, "weak_value")
     stacks = counting(monkeypatch, Observable, "_from_matrices")
     assert verify.check_additivity()[0]
     assert (states, ensembles, weak_values) == ([], [], [])
-    dims = additivity_dims()
-    assert len(stacks) == 2 * len(set(dims))
-    # per dimension, first drawn first: its trials' A and B interleaved, then their A + B
-    assert [len(mats) for (mats,) in stacks] == [
-        n for dim in dict.fromkeys(dims) for n in (2 * dims.count(dim), dims.count(dim))]
+    batches = additivity_batches()
+    # every dimension fills at least one whole batch
+    assert {dim for dim, trials in batches
+            if len(trials) == verify.ADDITIVITY_BATCH} == set(range(2, 7))
+    assert all(len(trials) <= verify.ADDITIVITY_BATCH for _, trials in batches)
+    # per batch, first drawn dimension first: its trials' A and B interleaved,
+    # then their A + B
+    assert [mats.shape[:2] for (mats,) in stacks] == [
+        shape for dim, trials in batches for shape in ((2 * len(trials), dim), (len(trials), dim))]
 
 
 def test_monte_carlo_samples_each_distinct_mixture_once(monkeypatch):
@@ -209,14 +226,16 @@ def test_monte_carlo_fails_when_a_resample_differs(monkeypatch):
 
 
 @pytest.mark.parametrize("check, bound", [
-    # the A/B build at d = 6 (394 members) peaks near 4.0 MB; with every
-    # dimension's draws held until the last stack, 4.6 MB, and with its
-    # (n, k, d, d) stack of terms materialised too, 5.8 MB
-    (verify.check_additivity, 4.4e6),
-    # a sample, its sorted copy and their CDF values, near 3.1 MB; with
-    # tobytes() copies, whole-chunk inversion and the last mixture's arrays
-    # held into the next, 6.0 MB
-    (verify.check_monte_carlo, 4.5e6),
+    # the draws in preallocated arrays (1.35 MB) and one batch's build, near
+    # 1.7 MB; in batches of 32, 2.0 MB; with the draws held as lists of small
+    # arrays and each dimension built as one stack, 4.0 MB
+    (verify.check_additivity, 2.0e6),
+    # a sample while its resample is drawn, near 2.9 MB, then never more
+    # than two sample-sized arrays; with the sample, its sorted copy and
+    # their CDF values held at once, 3.1 MB, and with tobytes() copies,
+    # whole-chunk inversion and the last mixture's arrays held into the next,
+    # 6.0 MB
+    (verify.check_monte_carlo, 3.3e6),
     # the N = 25, 100, 400 statistics, near 0.55 MB; with the N = 2, 3
     # cross-check built as a 4^N operator, eigensolved and mixed, 1.1 MB
     (verify.check_collective, 0.8e6),
@@ -249,11 +268,11 @@ NAN = math.nan
 
 def _second_sum() -> tuple[int, int]:
     """Which ``_from_matrices`` call of criterion 5 builds the second trial's
-    A + B, counting from 1, and that trial's place in it.  The dimensions go
-    in the order they are first drawn, each an (A, B) stack, then its A + B
-    stack."""
-    dims = additivity_dims()
-    return 2 * list(dict.fromkeys(dims)).index(dims[1]) + 2, dims[:1].count(dims[1])
+    A + B, counting from 1, and that trial's place in it.  Each batch of
+    ``additivity_batches`` is an (A, B) stack, then its A + B stack."""
+    batches = additivity_batches()
+    i = next(i for i, (_, trials) in enumerate(batches) if 1 in trials)
+    return 2 * i + 2, batches[i][1].index(1)
 
 
 def _replaced(obj, **fields):
