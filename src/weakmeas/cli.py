@@ -210,14 +210,17 @@ def _cmd_abl(params: dict, provided: set[str]):
 def _cmd_weak_measure(params: dict, provided: set[str]):
     if params["seed"] is None:
         raise ValueError("seed is required (no silent entropy); pass --seed")
+    pointer.check_sampling(params["trials"], params["seed"])  # judged even if nothing is drawn
     scenario, ensemble = _resolve_ensemble(params)
     names = _resolve_observables(params)
     if params["pdf_points"] is not None and len(names) != 1:
         raise ValueError("--pdf-points needs a single --observable")
+    inputs = {"g": params["g"], "delta": params["delta"], "trials": params["trials"],
+              "seed": params["seed"], "postselect": params["postselect"],
+              "observable": params["observable"] or "all"}
     warnings = []
     results = {}
     rows = [("observable", "estimate", "stderr", "trials", "weak_value_re", "weak_value_im")]
-    pdf_rows = None
     for name in names:
         spec = pointer.CouplingSpec(scenario.observable(name),
                                     g=params["g"], delta=params["delta"])
@@ -226,10 +229,10 @@ def _cmd_weak_measure(params: dict, provided: set[str]):
                 f"{name}: g*spectral_span = {spec.g * spec.spectral_span:g} is not "
                 f"below delta = {spec.delta:g}; outside the weak regime")
         m = pointer.mixture(ensemble, spec)
-        if params["pdf_points"] is not None:  # judged before any sampling
+        if params["pdf_points"] is not None:  # the q,pdf table is all a CSV run prints
             grid = pointer._sampling_grid(m.shifts, m.delta, params["pdf_points"])
             pdf = pointer.position_pdf(m, grid)
-            pdf_rows = [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
+            return {}, inputs, warnings, [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
         reading = pointer.sample(m, params["trials"], seed=params["seed"])
         est = pointer.estimate(reading, params["g"])
         wv = prepost.weak_value(spec.observable, ensemble).value
@@ -240,10 +243,7 @@ def _cmd_weak_measure(params: dict, provided: set[str]):
             "weak_value": _cx(wv),
         }
         rows.append((name, est.estimate, est.stderr, params["trials"], wv.real, wv.imag))
-    inputs = {"g": params["g"], "delta": params["delta"], "trials": params["trials"],
-              "seed": params["seed"], "postselect": params["postselect"],
-              "observable": params["observable"] or "all"}
-    return results, inputs, warnings, (pdf_rows or rows)
+    return results, inputs, warnings, rows
 
 
 def _cmd_simultaneous(params: dict, provided: set[str]):

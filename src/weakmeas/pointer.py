@@ -94,6 +94,15 @@ def check_coupling(g: float, delta: float) -> None:
         raise ValueError(f"g must be at least {MIN_G_OVER_DELTA:g} times delta = {delta}, got {g}")
 
 
+def check_sampling(trials: int, seed: int) -> None:
+    """Raise ValueError unless ``sample`` can draw ``trials`` readings from ``seed``."""
+    # x % 1 == 0 fails on a fraction, NaN and inf
+    if not (1 <= trials <= MAX_TRIALS and trials % 1 == 0):
+        raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials}")
+    if not (0 <= seed < 2**64 and seed % 1 == 0):  # one Philox key word
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """One pointer: the observable, integrated coupling g, initial width delta."""
@@ -352,11 +361,7 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
     than ``SAMPLE_CDF_TOL`` from 1 (the grid cannot resolve the density, or
     it underflowed or overflowed) raises ``QuadratureError``.
     """
-    # x % 1 == 0 fails on a fraction, NaN and inf
-    if not (1 <= trials <= MAX_TRIALS and trials % 1 == 0):
-        raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials}")
-    if not (0 <= seed < 2**64 and seed % 1 == 0):  # one Philox key word
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    check_sampling(trials, seed)
     trials, seed = int(trials), int(seed)
     grid = _sampling_grid(m.shifts, m.delta, SAMPLE_GRID_POINTS)
     pdf = position_pdf(m, grid)
@@ -377,21 +382,19 @@ def sample(m: PointerMixture, trials: int, seed: int) -> ReadingSample:
 
 
 def estimate(s: ReadingSample, g: float) -> WeakEstimate:
-    """Weak-value estimate mean(readings)/g with its standard error."""
+    """Weak-value estimate mean(readings)/g with its standard error: two readings at least."""
     check_finite_positive(g=g)
-    per_trial = s.readings / g
     n = s.readings.size
+    if n < 2:  # one reading has no spread to give an error bar
+        raise ValueError(f"trials must be at least 2 for a standard error, got {n}")
+    per_trial = s.readings / g
     # std(ddof=1) step by step as numpy computes it (same bits), but in place
     # on per_trial, so no second reading-sized temporary is made
     mean = per_trial.sum(keepdims=True)
     mean /= n
-    est = float(mean[0])
-    err = 0.0
-    if n > 1:
-        per_trial -= mean
-        np.square(per_trial, out=per_trial)
-        err = float(np.sqrt(per_trial.sum() / (n - 1)) / np.sqrt(n))
-    return WeakEstimate(estimate=est, stderr=err)
+    per_trial -= mean
+    np.square(per_trial, out=per_trial)
+    return WeakEstimate(float(mean[0]), float(np.sqrt(per_trial.sum() / (n - 1)) / np.sqrt(n)))
 
 
 # ---------------------------------------------------------------------------

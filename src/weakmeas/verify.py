@@ -168,45 +168,42 @@ def check_identity_chain() -> tuple[bool, str]:
 
 
 def check_additivity() -> tuple[bool, str]:
-    """(A+B)_w = A_w + B_w on random (pre, post, A, B) of dimension 2 to 6: per
-    dimension, up to ADDITIVITY_BATCH trials at a time, the A and B are built
-    as one stack, their A + B as another, and all weak values
-    <post|M|pre> / <post|pre> are one product."""
+    """(A+B)_w = A_w + B_w on random (pre, post, A, B) of dimension 2 to 6.  A
+    dimension's trials are built ADDITIVITY_BATCH at a time, as soon as the draws
+    fill a batch; the short batches left are built last.  Per batch, A and B are
+    one stack, A + B another, and all weak values <post|M|pre> / <post|pre> one product."""
     rng = np.random.default_rng(ADDITIVITY_SEED)
-    # every trial's draws in four blocks, zero-padded to dimension 6: a few
-    # thousand small per-trial arrays leave the heap grown past their size
-    dims = np.empty(ADDITIVITY_TRIALS, dtype=int)
-    states = np.zeros((ADDITIVITY_TRIALS, 2, 6), dtype=complex)  # pre, post
-    overlaps = np.empty(ADDITIVITY_TRIALS, dtype=complex)
-    normals = np.zeros((ADDITIVITY_TRIALS, 4, 6, 6))
+    errs = np.empty(ADDITIVITY_TRIALS)
+    open_batches = {}  # dimension -> its open batch: (trial, pre, post, overlap, normals) each
+
+    def build(batch):
+        index, pre, post, overlaps, drawn = map(np.array, zip(*batch))
+        g = drawn[:, 0::2] + 1j * drawn[:, 1::2]  # each trial's (A, B) draws
+        herms = ((g + g.conj().swapaxes(2, 3)) / 2.0).reshape(-1, *g.shape[2:])
+        ab = np.array([x.matrix for x in Observable._from_matrices(herms)]).reshape(g.shape)
+        sums = np.array([x.matrix for x in Observable._from_matrices(ab[:, 0] + ab[:, 1])])
+        mats = np.concatenate([ab, sums[:, None]], axis=1)  # (trials, 3, dim, dim)
+        wv = (post.conj()[:, None, None, :] @ (mats @ pre[:, None, :, None]))[..., 0, 0]
+        wv /= overlaps[:, None]
+        diff = wv[:, 2] - (wv[:, 0] + wv[:, 1])
+        errs[index] = np.hypot(diff.real, diff.imag)  # bit for bit Python's abs of a complex
+
     for t in range(ADDITIVITY_TRIALS):
-        dim = dims[t] = int(rng.integers(2, 7))
+        dim = int(rng.integers(2, 7))
         while True:
             z = rng.standard_normal((4, dim))
             # np.linalg.norm's arithmetic for a complex vector, without its dispatch
             pre, post = (v / sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
                          for v in (z[0] + 1j * z[1], z[2] + 1j * z[3]))
-            overlaps[t] = np.vdot(post, pre)
-            if abs(overlaps[t]) > 1e-3:
+            overlap = np.vdot(post, pre)
+            if abs(overlap) > 1e-3:
                 break
-        states[t, 0, :dim], states[t, 1, :dim] = pre, post
-        normals[t, :, :dim, :dim] = rng.standard_normal((4, dim, dim))
-    errs = np.empty(ADDITIVITY_TRIALS)
-    for dim in dict.fromkeys(dims.tolist()):  # first drawn first
-        trials = np.flatnonzero(dims == dim)
-        for lo in range(0, trials.size, ADDITIVITY_BATCH):
-            index = trials[lo:lo + ADDITIVITY_BATCH]
-            drawn = normals[index, :, :dim, :dim]
-            g = drawn[:, 0::2] + 1j * drawn[:, 1::2]  # each trial's (A, B) draws
-            herms = ((g + g.conj().swapaxes(2, 3)) / 2.0).reshape(-1, dim, dim)
-            ab = np.array([x.matrix for x in Observable._from_matrices(herms)]).reshape(g.shape)
-            sums = np.array([x.matrix for x in Observable._from_matrices(ab[:, 0] + ab[:, 1])])
-            mats = np.concatenate([ab, sums[:, None]], axis=1)  # (trials, 3, dim, dim)
-            pre, post = states[index, 0, :dim], states[index, 1, :dim]
-            wv = (post.conj()[:, None, None, :] @ (mats @ pre[:, None, :, None]))[..., 0, 0]
-            wv /= overlaps[index, None]
-            diff = wv[:, 2] - (wv[:, 0] + wv[:, 1])
-            errs[index] = np.hypot(diff.real, diff.imag)  # bit for bit Python's abs of a complex
+        batch = open_batches.setdefault(dim, [])
+        batch.append((t, pre, post, overlap, rng.standard_normal((4, dim, dim))))
+        if len(batch) == ADDITIVITY_BATCH:
+            build(open_batches.pop(dim))
+    for batch in open_batches.values():
+        build(batch)
     worst = _worst(errs)
     return (worst < 1e-10,
             f"{ADDITIVITY_TRIALS} random triples, worst |(A+B)_w - A_w - B_w| = {worst:.2e}")

@@ -32,7 +32,8 @@ PUBLIC_NAMES = {
     ],
     "pointer": [
         "CouplingSpec", "PointerMixture", "ReadingSample", "WeakEstimate",
-        "check_coupling", "check_delta", "check_finite_positive", "estimate", "mixture", "position_cdf", "position_mean",
+        "check_coupling", "check_delta", "check_finite_positive", "check_sampling", "estimate",
+        "mixture", "position_cdf", "position_mean",
         "position_pdf", "position_variance", "sample", "simultaneous", "window_mass",
     ],
     "collective": [

@@ -449,6 +449,12 @@ class TestSampling:
         assert est.estimate == float(per_trial.mean())
         assert est.stderr == float(per_trial.std(ddof=1) / np.sqrt(n))
 
+    def test_estimate_refuses_one_reading(self):
+        # one reading used to be given a standard error of 0.0
+        with pytest.raises(ValueError, match="^trials must be at least 2 for a standard error, "
+                                             "got 1$"):
+            estimate(ReadingSample(np.array([0.3])), 0.05)
+
     def test_estimate_keeps_one_reading_sized_temporary(self):
         reading = ReadingSample(np.random.default_rng(1).normal(0.0, 1.0, 10**6))
         estimate(reading, 0.05)

@@ -123,16 +123,17 @@ def additivity_dims() -> list[int]:
 
 
 def additivity_batches() -> list[tuple[int, list[int]]]:
-    """Criterion 5's stacked builds in order, as (dimension, trials): the
-    dimensions in the order they are first drawn, each cut into batches of
-    ``ADDITIVITY_BATCH`` trials in draw order, the last one possibly short."""
-    dims = additivity_dims()
-    size = verify.ADDITIVITY_BATCH
+    """Criterion 5's stacked builds in order, as (dimension, trials): each
+    dimension's trials are cut into batches of ``ADDITIVITY_BATCH`` in draw
+    order; a batch is built when its last trial is drawn, then each dimension's
+    short last batch, in the order those batches began."""
+    open_batches = {}
     batches = []
-    for dim in dict.fromkeys(dims):
-        trials = [t for t, d in enumerate(dims) if d == dim]
-        batches += [(dim, trials[lo:lo + size]) for lo in range(0, len(trials), size)]
-    return batches
+    for t, dim in enumerate(additivity_dims()):
+        open_batches.setdefault(dim, []).append(t)
+        if len(open_batches[dim]) == verify.ADDITIVITY_BATCH:
+            batches.append((dim, open_batches.pop(dim)))
+    return batches + list(open_batches.items())
 
 
 def monte_carlo_loop() -> tuple[bool, str]:
@@ -181,22 +182,49 @@ def counting(monkeypatch, target, name):
     return calls
 
 
+class _CountedTrials:
+    """A generator that counts its ``integers`` calls: criterion 5 makes one
+    per trial, to draw its dimension."""
+
+    def __init__(self, seed):
+        self.rng, self.trials = np.random.default_rng(seed), 0
+
+    def integers(self, *args):
+        self.trials += 1
+        return self.rng.integers(*args)
+
+    def standard_normal(self, *args):
+        return self.rng.standard_normal(*args)
+
+
 def test_additivity_builds_two_stacks_per_batch_and_no_per_trial_objects(monkeypatch):
+    batches = additivity_batches()
     states = counting(monkeypatch, StateVector, "__post_init__")
     ensembles = counting(monkeypatch, prepost.PrePostEnsemble, "__post_init__")
     weak_values = counting(monkeypatch, prepost, "weak_value")
-    stacks = counting(monkeypatch, Observable, "_from_matrices")
+    rng = _CountedTrials(verify.ADDITIVITY_SEED)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+    real = Observable._from_matrices
+    stacks = []  # each stack's (matrix count, dimension) and the trials drawn before it
+
+    def counted(mats):
+        stacks.append((mats.shape[:2], rng.trials))
+        return real(mats)
+
+    monkeypatch.setattr(Observable, "_from_matrices", counted)
     assert verify.check_additivity()[0]
     assert (states, ensembles, weak_values) == ([], [], [])
-    batches = additivity_batches()
     # every dimension fills at least one whole batch
     assert {dim for dim, trials in batches
             if len(trials) == verify.ADDITIVITY_BATCH} == set(range(2, 7))
     assert all(len(trials) <= verify.ADDITIVITY_BATCH for _, trials in batches)
-    # per batch, first drawn dimension first: its trials' A and B interleaved,
-    # then their A + B
-    assert [mats.shape[:2] for (mats,) in stacks] == [
-        shape for dim, trials in batches for shape in ((2 * len(trials), dim), (len(trials), dim))]
+    # per batch, in the order the batches fill: its trials' A and B
+    # interleaved, then their A + B; a whole batch is built as soon as its
+    # last trial is drawn, the short ones after the last trial
+    assert stacks == [
+        (shape, trials[-1] + 1 if len(trials) == verify.ADDITIVITY_BATCH
+         else verify.ADDITIVITY_TRIALS)
+        for dim, trials in batches for shape in ((2 * len(trials), dim), (len(trials), dim))]
 
 
 def test_monte_carlo_samples_each_distinct_mixture_once(monkeypatch):
@@ -226,10 +254,11 @@ def test_monte_carlo_fails_when_a_resample_differs(monkeypatch):
 
 
 @pytest.mark.parametrize("check, bound", [
-    # the draws in preallocated arrays (1.35 MB) and one batch's build, near
-    # 1.7 MB; in batches of 32, 2.0 MB; with the draws held as lists of small
+    # at most one open batch of draws per dimension and one batch's build,
+    # near 0.36 MB; with every trial's draws preallocated, zero-padded to
+    # dimension 6 (1.35 MB), 1.7 MB; with the draws held as lists of small
     # arrays and each dimension built as one stack, 4.0 MB
-    (verify.check_additivity, 2.0e6),
+    (verify.check_additivity, 0.8e6),
     # a sample while its resample is drawn, near 2.9 MB, then never more
     # than two sample-sized arrays; with the sample, its sorted copy and
     # their CDF values held at once, 3.1 MB, and with tobytes() copies,
@@ -306,7 +335,7 @@ _SECOND_SUM_CALL, _SECOND_SUM_AT = _second_sum()
     # the second entry of the direct table
     (4, hardy, "weak_value_table", {1},
      lambda out: {**out, hardy.OBSERVABLE_ORDER[1]: complex(NAN, 0.0)}),
-    # the second random triple's A + B, out of the stacked build of its dimension
+    # the second random triple's A + B, out of the stacked build of its batch
     (5, Observable, "_from_matrices", {_SECOND_SUM_CALL},
      lambda out: [*out[:_SECOND_SUM_AT], _nan_matrix(out[_SECOND_SUM_AT]),
                   *out[_SECOND_SUM_AT + 1:]]),
