@@ -25,11 +25,14 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from importlib import resources
 from pathlib import Path
 
+# before numpy loads: a BLAS thread pool makes large-N sums depend on the CPU count
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import collective, hardy, pointer, prepost, verify
@@ -235,14 +238,14 @@ def _cmd_weak_measure(params: dict, provided: set[str]):
             return {}, inputs, warnings, [("q", "pdf")] + list(zip(grid.tolist(), pdf.tolist()))
         reading = pointer.sample(m, params["trials"], seed=params["seed"])
         est = pointer.estimate(reading, params["g"])
-        wv = prepost.weak_value(spec.observable, ensemble).value
+        wv = _cx(prepost.weak_value(spec.observable, ensemble).value)
         results[name] = {
             "estimate": est.estimate,
             "stderr": est.stderr,
             "trials": params["trials"],
-            "weak_value": _cx(wv),
+            "weak_value": wv,
         }
-        rows.append((name, est.estimate, est.stderr, params["trials"], wv.real, wv.imag))
+        rows.append((name, est.estimate, est.stderr, params["trials"], wv["re"], wv["im"]))
     return results, inputs, warnings, rows
 
 

@@ -22,8 +22,10 @@ are plain dicts; ``verify`` judges every fact about them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,8 +61,11 @@ class HardyScenario:
     (pre-selected, post-selected) ensemble."""
 
     initial: StateVector
-    observables: dict[str, Observable]
+    observables: Mapping[str, Observable]
     ensemble: PrePostEnsemble
+
+    def __post_init__(self):
+        object.__setattr__(self, "observables", MappingProxyType(dict(self.observables)))
 
     def observable(self, name: str) -> Observable:
         if name not in self.observables:

@@ -30,6 +30,14 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def _child_env(**extra) -> dict:
+    """This process's environment for a child that imports ``weakmeas`` from
+    this tree, without the BLAS thread count that importing ``weakmeas.cli``
+    here set, plus ``extra``."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1]), **extra}
+
+
 # A child's ru_maxrss also counts the peak of the process it was spawned
 # from, so a bare launcher spawns the command and reports its exit code and
 # ru_maxrss (KiB on Linux).
@@ -44,9 +52,8 @@ _LAUNCHER = ("import os, subprocess, sys\n"
 def child_peak_rss_mib(out, *args) -> float:
     """The peak RSS of a fresh ``python *args`` with its stdout in ``out``,
     which must exit 0."""
-    env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _LAUNCHER, str(out), sys.executable, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     code, maxrss_kib = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
@@ -147,6 +154,18 @@ class TestWeakMeasure:
         doc = run_json(["weak-measure", "--observable", "N_minus_O", "--g", "5",
                         "--trials", "10", "--seed", "1"], capsys)
         assert any("weak regime" in w for w in doc["warnings"])
+
+    def test_csv_weak_values_match_the_document(self, capsys):
+        # both print a negative-zero weak value as plain 0.0
+        args = ["weak-measure", "--seed", "1", "--trials", "1000"]
+        doc = run_json(args, capsys)
+        code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["observable"] for row in rows] == list(hardy.OBSERVABLE_ORDER)
+        for row in rows:
+            wv = doc["results"][row["observable"]]["weak_value"]
+            assert (row["weak_value_re"], row["weak_value_im"]) == (repr(wv["re"]), repr(wv["im"]))
 
     def test_pdf_csv(self, capsys):
         code, out, _ = run_cli(
@@ -543,7 +562,6 @@ class TestEntryPoint:
     def test_cold_import_skips_heavy_modules(self):
         # scipy and mpmath are test-only oracles: neither the import nor any
         # command loads them
-        env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1])}
         runs = [["hardy-table"], ["detector-stats"], ["abl"], ["simultaneous"],
                 ["weak-measure", "--seed", "1", "--trials", "1000"], ["collective"], ["verify"]]
         proc = subprocess.run(
@@ -555,9 +573,37 @@ class TestEntryPoint:
              f"for argv in {runs!r}:\n"
              "    assert cli.run(argv + ['--output-path', os.devnull]) == 0, argv\n"
              "    print(argv[0], heavy())\n"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]"] + [f"{argv[0]} []" for argv in runs]
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or os.cpu_count() == 1,
+                        reason="counts threads in /proc on a host with more than one CPU")
+    def test_cli_import_starts_no_blas_thread(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, weakmeas.cli\n"
+             "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+
+    def test_cli_import_keeps_an_explicit_blas_thread_count(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, weakmeas.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"],
+            capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS="2"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"
+
+    def test_large_collective_document_is_the_same_on_any_thread_count(self):
+        # its moment sums run over more than 10^4 points, which a BLAS thread
+        # pool splits by the host's CPU count
+        argv = [sys.executable, "-m", "weakmeas.cli", "collective", "--n-pairs", "100000"]
+        unset, pinned = (subprocess.run(argv, capture_output=True, env=env)
+                         for env in (_child_env(), _child_env(OPENBLAS_NUM_THREADS="1")))
+        assert unset.returncode == pinned.returncode == 0
+        assert unset.stdout == pinned.stdout
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,5 +1,7 @@
 """The canonical double-interferometer scenario and its quantitative claims."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from spectral_oracle import diagonal, identity, op_tensor, projector
@@ -51,6 +53,20 @@ class TestBuild:
             diag = np.diag(obs.matrix).real
             np.testing.assert_allclose(obs.matrix, np.diag(diag), atol=1e-15)
             assert set(np.round(diag).astype(int)) <= {0, 1}, name
+
+    def test_observables_are_read_only(self):
+        # a fresh scenario: the session fixture must not see a write that sticks
+        scenario = hardy.build()
+        with pytest.raises(TypeError):
+            scenario.observables["N_minus_O"] = scenario.observable("N_plus_O")
+        assert list(scenario.observables) == list(hardy.OBSERVABLE_ORDER)
+        # a replaced mapping is copied, and read-only too
+        given = dict(scenario.observables)
+        replaced = dataclasses.replace(scenario, observables=given)
+        given["N_minus_O"] = scenario.observable("N_plus_O")
+        assert replaced.observable("N_minus_O") is scenario.observable("N_minus_O")
+        with pytest.raises(TypeError):
+            replaced.observables["N_minus_O"] = scenario.observable("N_plus_O")
 
     def test_pairs_are_products_of_singles(self, scenario):
         for p_arm in ("NO", "O"):
