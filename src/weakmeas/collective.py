@@ -23,8 +23,9 @@ trapezoid sums of |psi~|^2 times Re L and |L - mean|^2, L = i d/dp log psi~,
 on one uniform p-grid (the integrand is smooth and decays like a Gaussian,
 so the rule converges exponentially).  The grid is checked by recomputing the
 moments from every second point; an unresolved or oversized grid raises
-QuadratureError.  The mode and the plotting density transform the same
-psi~ back to position space by a chirp-z transform: one FFT convolution.
+QuadratureError.  The plotting density transforms the same psi~ back to
+position space by a chirp-z transform, one FFT convolution; the mode search
+zooms that scan until a cell is at most MODE_TOL_FACTOR * delta wide.
 
 ``CollectiveSpec`` judges N (an integer >= 1) once.  The statistics are plain
 (mean, mode, spread); ``spec.in_regime`` says whether the coupling is weak.
@@ -47,7 +48,6 @@ MODE_TOL_FACTOR = 1e-6
 EDGE_LOG_DECAY = 80.0  # grid edge weight below exp(-EDGE_LOG_DECAY) of the peak
 MAX_GRID_POINTS = 2**16
 GRID_CHECK_RTOL = 1e-9  # allowed step-halving change, in units of the spread
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -168,29 +168,13 @@ def _density_scan(p: np.ndarray, psi: np.ndarray, grid: np.ndarray) -> np.ndarra
 
 
 def _mode_search(spec: CollectiveSpec, p: np.ndarray, psi: np.ndarray) -> float:
-    """Global density mode: 4096-point scan, then golden-section refinement."""
+    """Global density mode: the window scan, zoomed onto the two cells around each argmax."""
     grid = _window(spec)
-    best = int(np.argmax(_density_scan(p, psi, grid)))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-
-    def density(q: float) -> float:
-        return abs(np.dot(psi, np.exp(1j * p * q))) ** 2
-
-    tol = MODE_TOL_FACTOR * spec.delta
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = density(x1), density(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = density(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = density(x1)
-    return float((lo + hi) / 2.0)
+    while True:
+        best = int(np.argmax(_density_scan(p, psi, grid)))
+        if grid[1] - grid[0] <= MODE_TOL_FACTOR * spec.delta:
+            return float(grid[best])
+        grid = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)], grid.size)
 
 
 def density_grid(spec: CollectiveSpec,

@@ -155,6 +155,32 @@ def _mode_search(spec: CollectiveSpec) -> float:
     return float((lo + hi) / 2.0)
 
 
+def refine_mode(spec: CollectiveSpec, start: float) -> float:
+    """The density mode to at most 1e-12 delta, by golden section from ``start``.
+
+    ``start`` must lie within MODE_TOL_FACTOR * delta of the mode, as the
+    oracle's own mode search leaves it.  The bracket and the log-density are
+    held at 20 digits above the working precision.
+    """
+    with mp.workdps(_required_dps(spec) + 20):
+        log_density = _log_density_fn(spec)
+        golden = (mp.sqrt(5) - 1) / 2
+        half = mp.mpf(MODE_TOL_FACTOR * spec.delta)
+        lo, hi = mp.mpf(start) - half, mp.mpf(start) + half
+        x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        f1, f2 = log_density(x1), log_density(x2)
+        while hi - lo > 1e-12 * spec.delta:
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + golden * (hi - lo)
+                f2 = log_density(x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - golden * (hi - lo)
+                f1 = log_density(x1)
+        return float((lo + hi) / 2)
+
+
 def density_grid(spec: CollectiveSpec,
                  points: int = MODE_GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """Normalized collective position density on a plotting grid.

@@ -8,6 +8,7 @@ Small N is also checked against the explicit N+1 term binomial mixture.
 
 import tracemalloc
 from math import comb, sqrt
+from unittest import mock
 
 import mpmath_oracle
 import numpy as np
@@ -32,6 +33,7 @@ from weakmeas.prepost import PrePostEnsemble, branch_amplitudes, weak_value
 from weakmeas.qcore import Observable, StateVector
 
 SQRT3 = np.sqrt(3.0)
+MODE_REFINED_TOL = 5e-8  # mode against the refined mpmath mode, in units of delta
 
 
 def normalized(*amps):
@@ -269,6 +271,13 @@ def direct_density(p, psi, grid):
     return np.concatenate(rows)
 
 
+def scanned(run, *args):
+    """run(*args), and the grids that ``collective._density_scan`` scanned meanwhile."""
+    with mock.patch.object(collective, "_density_scan", wraps=collective._density_scan) as scan:
+        result = run(*args)
+    return result, [call.args[2] for call in scan.call_args_list]
+
+
 class TestDensityGrid:
     def test_normalized_and_peaked_at_mode(self, scenario):
         n = 25
@@ -299,14 +308,29 @@ class TestDensityGrid:
     def test_scan_matches_the_direct_sum(self, scenario, n, c):
         spec = make_spec(scenario, n=n, g=1.0, delta=c * sqrt(n))
         p, psi, _, _ = collective._momentum_pointer(spec)
-        grids = {points: collective._window(spec, points) for points in (2, 3, 256, 4096)}
-        refs = {points: direct_density(p, psi, grid) for points, grid in grids.items()}
-        peak = refs[4096].max()
-        for points, grid in grids.items():
-            ref, scan = refs[points], collective._density_scan(p, psi, grid)
+        windows = [collective._window(spec, points) for points in (2, 3, 256, 4096)]
+        _, (_, *zooms) = scanned(collective._mode_search, spec, p, psi)
+        # each zoom is checked at every 8th point, to bound the direct sum's cost
+        strided = [(grid, 1) for grid in windows] + [(grid, 8) for grid in zooms]
+        pairs = [(direct_density(p, psi, grid[::k]), collective._density_scan(p, psi, grid)[::k])
+                 for grid, k in strided]
+        peak = pairs[3][0].max()
+        for ref, scan in pairs:
             np.testing.assert_allclose(scan, ref, rtol=0.0, atol=1e-10 * peak)
+        # the windows only: on the last zoom both argmaxes are rounding noise
+        for points, (ref, scan) in zip((2, 3, 256, 4096), pairs):
             if ref.max() > 1e-6 * peak:  # at 2 points both window edges are rounding noise
                 assert np.argmax(scan) == np.argmax(ref), points
+
+    @pytest.mark.parametrize("name, n, g, delta", [
+        ("N_pair_NO_NO", 100_000, 0.05, 5.0 * 0.05 * sqrt(100_000)),
+        ("N_minus_O", 1000, 1.0, 0.2464),  # the widest window the grid cap allows, 4,068 delta
+        ("N_pair_NO_NO", 1, 1e-3, 1.0),  # the narrowest, 10 delta
+    ])
+    def test_mode_search_takes_three_scans(self, scenario, name, n, g, delta):
+        # the window and two zooms: any window from 4.2 to 8,585 delta stops at the third
+        _, grids = scanned(collective_pointer_stats, make_spec(scenario, name, n, g, delta))
+        assert len(grids) == 3
 
     def test_working_set_at_the_limits(self, scenario):
         # N = 10^5 (a momentum grid near 6*10^4 points) at the most points;
@@ -322,11 +346,14 @@ class TestDensityGrid:
 
 
 def assert_matches_oracle(spec):
-    fast = collective_pointer_stats(spec)
+    fast, grids = scanned(collective_pointer_stats, spec)
     slow = mpmath_oracle.collective_pointer_stats(spec)
     assert fast.mean == pytest.approx(slow.mean, abs=1e-9)
     assert fast.spread == pytest.approx(slow.spread, abs=1e-9)
     assert fast.mode == pytest.approx(slow.mode, abs=MODE_TOL_FACTOR * spec.delta)
+    assert fast.mode == pytest.approx(mpmath_oracle.refine_mode(spec, slow.mode),
+                                      abs=MODE_REFINED_TOL * spec.delta)
+    assert len(grids) == 3  # the window and two zooms
 
 
 class TestAgainstMpmathOracle:
@@ -362,13 +389,17 @@ class TestAgainstMpmathOracle:
         np.testing.assert_allclose(pdf, ref_pdf, rtol=0.0, atol=1e-9 * ref_pdf.max())
 
     @pytest.mark.parametrize("c, expected", [
-        (5.0, (-399.8572699983801, -399.7148452228636, 45.829573126932075)),
-        (1.0, (13.729135860957678, 15.729590712563503, 15.239719854630914)),
+        (5.0, (-399.8572699983801, -399.714859972851, 45.829573126932075)),
+        (1.0, (13.729135860957678, 15.729593083815017, 15.239719854630914)),
     ])
     def test_n400_pinned_to_oracle_values(self, scenario, c, expected):
-        # the oracle's own N = 400 results; too slow to recompute in the suite
-        stats = collective_pointer_stats(make_spec(scenario, n=400, g=1.0, delta=c * 20.0))
-        assert (stats.mean, stats.mode, stats.spread) == pytest.approx(expected, abs=1e-9)
+        # the oracle's own N = 400 mean and spread, and its mode refined by
+        # mpmath_oracle.refine_mode; too slow to recompute in the suite
+        spec = make_spec(scenario, n=400, g=1.0, delta=c * 20.0)
+        stats = collective_pointer_stats(spec)
+        mean, mode, spread = expected
+        assert (stats.mean, stats.spread) == pytest.approx((mean, spread), abs=1e-9)
+        assert stats.mode == pytest.approx(mode, abs=MODE_REFINED_TOL * spec.delta)
 
 
 class TestQuadratureLimits:

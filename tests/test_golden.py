@@ -12,13 +12,15 @@ p-value; its pull and its distance are the same numbers as before.
 ``collective-pdf.csv``'s pdf column was rewritten once, when the density
 scan became a chirp-z transform; its q column is the same, and every pdf
 value moved by less than 3e-13 of the peak.
-Every document except ``collective.json`` must be reproduced byte for byte;
-``collective.json`` now comes from a different quadrature, so its mean and
-spread are compared to 1e-9 and every other field, the mode included,
-exactly.
+``collective.json`` and ``collective-strong.json`` were re-recorded once,
+when the mode search became the density scan zoomed onto its argmax.  Their
+modes moved by 1.3e-7 and 1.6e-7 of delta, to within 5.5e-9 and 1.5e-10 of
+delta of the mode that mpmath refines to 1e-12 of delta.  The mean and
+spread in ``collective.json``, from the momentum-space quadrature, are
+within 6e-15 of the mpmath values first recorded there.  Every document
+must be reproduced byte for byte.
 """
 
-import json
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,7 @@ def cli_stdout(argv, capsys):
     ("weak-measure-pdf.csv", ["weak-measure", "--observable", "N_pair_NO_NO", "--seed", "7",
                               "--trials", "10", "--pdf-points", "64", "--format", "csv"]),
     ("verify.json", ["verify"]),
+    ("collective.json", ["collective", "--n-pairs", "100"]),
     ("collective-strong.json", ["collective", "--n-pairs", "100", "--c", "0.5"]),
     ("collective-single-branch.json", ["collective", "--observable", "N_pair_O_O",
                                        "--n-pairs", "10"]),
@@ -55,12 +58,3 @@ def test_document_is_byte_identical(name, argv, capsys):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert cli_stdout(argv, capsys) == expected
 
-
-def test_collective_document_matches_field_by_field(capsys):
-    doc = json.loads(cli_stdout(["collective", "--n-pairs", "100"], capsys))
-    expected = json.loads((GOLDEN / "collective.json").read_text(encoding="utf-8"))
-    quadrature = {"mean", "mean_over_g", "spread", "spread_over_g"}
-    for key in quadrature:
-        assert doc["results"].pop(key) == pytest.approx(
-            expected["results"].pop(key), abs=1e-9), key
-    assert doc == expected
