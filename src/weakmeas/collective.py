@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .pointer import _sampling_grid, check_coupling
+from .pointer import SAMPLE_GRID_PADDING, _sampling_grid, check_coupling
 from .prepost import PrePostEnsemble, branch_amplitudes, check_dimensions, weak_value
 from .qcore import Observable
 
@@ -92,12 +92,19 @@ def success_probability(spec: CollectiveSpec) -> float:
     return math.exp(min(log_p, 0.0))  # |<post|pre>| may pass 1 by the norm tolerance
 
 
-def _window(spec: CollectiveSpec, points: int = MODE_GRID_POINTS) -> np.ndarray:
-    """The position window, by the sampler's rule over the shifts shift_k."""
+def _window_marks(spec: CollectiveSpec) -> tuple[float, float]:
+    """Centre and half-range of the end shifts, which bound every shift_k, and of
+    N*g*Re(A_w), near which the density lies even when it falls beyond them."""
     a0, a1 = (float(e) for e in spec.observable.eigenvalues)
-    # the shifts are linear in k, so an endpoint attains the largest |shift_k|
     ends = spec.g * (spec.n_pairs * a0 + (a1 - a0) * np.array([0, spec.n_pairs]))
-    return _sampling_grid(ends, spec.delta, points)
+    lo, hi = np.sort(np.append(ends, spec.g * collective_weak_value(spec).real))[[0, -1]]
+    return (lo + hi) / 2.0, (hi - lo) / 2.0
+
+
+def _window(spec: CollectiveSpec, points: int = MODE_GRID_POINTS) -> np.ndarray:
+    """The position window: the sampler's rule about the centre of the marks."""
+    centre, half = _window_marks(spec)
+    return centre + _sampling_grid(np.array([half]), spec.delta, points)
 
 
 def _moments(weight: np.ndarray, lq: np.ndarray) -> tuple[float, float]:
@@ -124,7 +131,8 @@ def _momentum_pointer(spec: CollectiveSpec):
     b = spec.g * (a1 - a0)
     ratio = max((abs(alpha0) + abs(alpha1)) / abs(alpha0 + alpha1), 1.0)
     p_max = math.sqrt(2.0 * (2.0 * n * math.log(ratio) + EDGE_LOG_DECAY)) / delta
-    step = min(math.pi / (2.0 * _window(spec)[-1]), 1.0 / (8.0 * abs(b) * math.sqrt(n)))
+    span = _window_marks(spec)[1] + SAMPLE_GRID_PADDING * delta  # inf, not NaN, on overflow
+    step = min(math.pi / (2.0 * span), 1.0 / (8.0 * abs(b) * math.sqrt(n)))
     quarter = p_max / (2.0 * step)  # inf when the window overflows
     if not quarter <= (MAX_GRID_POINTS - 1) // 4:  # NaN fails too
         raise QuadratureError(

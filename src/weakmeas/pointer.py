@@ -125,23 +125,30 @@ class CouplingSpec:
         return self.g * self.spectral_span < self.delta
 
 
-def _overlap_weights(coeffs: np.ndarray, shifts, deltas) -> np.ndarray:
-    """Pair weights Re(c_i* c_j)*K_ij of a Gaussian mixture over one or more pointers.
+def _live_pairs(coeffs: np.ndarray, shifts, deltas) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Weights and midpoints of the pairs i <= j of a Gaussian mixture whose weight is not zero.
 
-    K_ij = prod_m exp(-(s_mi - s_mj)^2 / (2 delta_m^2)) is the overlap kernel
-    of terms i and j.
+    Pair (i, j) weighs Re(c_i* c_j)*K_ij, doubled off the diagonal as the k x k
+    weights are symmetric; K_ij = prod_m exp(-(s_mi - s_mj)^2 / (2 delta_m^2)) over
+    the pointers m.  The midpoints (s_mi + s_mj)/2 come one array per pointer.
     """
-    kernel = np.ones((coeffs.size, coeffs.size))
+    k = np.arange(coeffs.size)
+    i, j = np.nonzero(k[:, None] <= k)  # row by row, the order of np.triu
+    kernel = np.ones(i.size)
     for s, delta in zip(shifts, deltas):
-        kernel *= np.exp(-np.subtract.outer(s, s) ** 2 / (2.0 * delta**2))
-    return np.real(np.outer(coeffs.conj(), coeffs)) * kernel
+        kernel *= np.exp(-(s[i] - s[j]) ** 2 / (2.0 * delta**2))
+    w = np.real(coeffs[i].conj() * coeffs[j]) * kernel
+    w[i != j] *= 2.0
+    live = np.flatnonzero(w)
+    i, j = i[live], j[live]
+    return w[live], [(s[i] + s[j]) / 2.0 for s in shifts]
 
 
 @dataclass(frozen=True)
 class PointerMixture:
     """Post-selected pointer wavefunction: coefficients, shifts and width.
 
-    The pair weights and the pair midpoints (s_i + s_j)/2 are computed once,
+    The live pair weights and midpoints (``_live_pairs``) are computed once,
     at construction; the closed forms below read them.
     """
 
@@ -159,12 +166,9 @@ class PointerMixture:
         check_delta(self.delta)
         if not np.any(np.abs(coeffs) > 0.0):
             raise AllBranchesVanishError("every mixture coefficient vanishes")
-        coeffs.setflags(write=False)
-        shifts.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "shifts", shifts)
-        for name, arr in (("_weights", _overlap_weights(coeffs, [shifts], [self.delta])),
-                          ("_mid", np.add.outer(shifts, shifts) / 2.0)):
+        weights, (mid,) = _live_pairs(coeffs, [shifts], [self.delta])
+        for name, arr in (("coefficients", coeffs), ("shifts", shifts),
+                          ("_weights", weights), ("_mid", mid)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -229,17 +233,6 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _live_pairs(m: PointerMixture) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and midpoints of the pairs i <= j whose weight is not zero.
-
-    The pair weights are symmetric, so an off-diagonal pair carries twice its
-    weight and a diagonal pair its own.
-    """
-    upper = np.triu(m._weights) * (2.0 - np.eye(len(m._weights)))
-    live = np.flatnonzero(upper)
-    return upper.ravel()[live], m._mid.ravel()[live]
-
-
 def position_cdf(m: PointerMixture, x: np.ndarray) -> np.ndarray:
     """P(Q <= x) in closed form, for x flattened to one dimension.
 
@@ -251,15 +244,14 @@ def position_cdf(m: PointerMixture, x: np.ndarray) -> np.ndarray:
     with one matrix-vector product.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    v, mid = _live_pairs(m)
     scale = math.sqrt(2.0) / m.delta
     out = np.empty(x.size)
     for start in range(0, x.size, _CDF_CHUNK):
-        block = np.subtract.outer(x[start:start + _CDF_CHUNK], mid)
+        block = np.subtract.outer(x[start:start + _CDF_CHUNK], m._mid)
         block *= scale
         _erf(block)
         block += 1.0
-        out[start:start + _CDF_CHUNK] = block @ v
+        out[start:start + _CDF_CHUNK] = block @ m._weights
     out *= 0.5 / m._weights.sum()
     return out
 
@@ -436,6 +428,6 @@ def simultaneous(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[float]
             np.tile(spec.g * np.array(spec.observable.eigenvalues), len(shifts))])
         live = np.any(rows != 0.0, axis=1)
         rows, shifts = rows[live], shifts[live]
-    w = _overlap_weights(rows @ ens.pre.amplitudes, shifts.T, [s.delta for s in specs])
+    w, mids = _live_pairs(rows @ ens.pre.amplitudes, shifts.T, [s.delta for s in specs])
     total = w.sum()
-    return [float((w * (np.add.outer(s, s) / 2.0)).sum() / total) for s in shifts.T]
+    return [float((w * mid).sum() / total) for mid in mids]

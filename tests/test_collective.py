@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
-from spectral_oracle import diagonal, identity
+from spectral_oracle import diagonal, from_projectors, identity
 
-from weakmeas import collective, pointer
+from weakmeas import collective, hardy, pointer
 from weakmeas.collective import (
     MODE_TOL_FACTOR,
     CollectiveSpec,
@@ -343,6 +343,37 @@ class TestDensityGrid:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+class TestWindowCoversTheDensity:
+    """The scan window reaches N*g*Re(A_w), also where it lies beyond every shift."""
+
+    # Re(A_w) = 2 for these pairs: the density sits near 2N*g, the shifts end at N*g
+    @pytest.mark.parametrize("n", [5_000, 10_000, 40_000])
+    @pytest.mark.parametrize("post, name", [("C_plus_D_minus", "N_minus_NO"),
+                                            ("D_plus_C_minus", "N_plus_NO")])
+    def test_mode_and_density_peak_at_the_mean(self, scenario, post, name, n):
+        ens = PrePostEnsemble(scenario.ensemble.pre, hardy.postselection_variants()[post])
+        spec = CollectiveSpec(ens, scenario.observable(name), n_pairs=n, g=1.0,
+                              delta=5.0 * sqrt(n))
+        assert weak_value(spec.observable, ens).value.real > 1.5
+        stats = collective_pointer_stats(spec)
+        assert abs(stats.mode - stats.mean) <= stats.spread
+        grid, pdf = density_grid(spec, 4096)
+        assert abs(grid[np.argmax(pdf)] - stats.mean) <= stats.spread
+
+    def test_offset_eigenvalues(self, scenario):
+        # 10^6 I + N_pair_NO_NO: the same branches, every shift and the mean moved by 5*10^7
+        n, delta = 50, 5.0 * sqrt(50)
+        plain = make_spec(scenario, n=n, g=1.0, delta=delta)
+        base = plain.observable
+        offset = CollectiveSpec(scenario.ensemble,
+                                from_projectors([1e6 + a for a in base.eigenvalues],
+                                                base.projectors),
+                                n_pairs=n, g=1.0, delta=delta)
+        want, got = collective_pointer_stats(plain), collective_pointer_stats(offset)
+        assert got.mean - 5e7 == pytest.approx(want.mean, abs=4 * np.spacing(5e7))
+        assert got.spread == pytest.approx(want.spread, rel=1e-9)
 
 
 def assert_matches_oracle(spec):

@@ -4,13 +4,16 @@ Closed-form results are cross-checked against independent numerical oracles:
 brute-force quadrature for position moments, an FFT momentum-space grid for
 the momentum mean, a Kolmogorov-Smirnov test for the sampler, and for joint
 couplings a two-pointer FFT grid evolution and the joint-eigenspace closed
-form of commuting families.  ``scipy.special.erf`` is the oracle of the
-in-repo erf, and the all-pairs broadcast CDF the oracle of ``position_cdf``.
+form of commuting families.  A 50-digit mpmath sum over all k^2 pairs bounds
+the rounding of the pair table that every closed form reads.
+``scipy.special.erf`` is the oracle of the in-repo erf, and the all-pairs
+broadcast CDF the oracle of ``position_cdf``.
 """
 
 import itertools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -198,15 +201,19 @@ def joint_block_oracle(ens: PrePostEnsemble, specs: list[CouplingSpec]) -> list[
     gammas = np.array(gammas)
     shifts = np.array([[spec.g * eigs[m] for eigs in eig_table]
                        for m, spec in enumerate(specs)])  # (n_pointers, n_blocks)
-    kprod = np.ones((gammas.size, gammas.size))
+    # the pairs i <= j row by row, an off-diagonal pair counted twice, zero weights dropped
+    i, j = np.triu_indices(gammas.size)
+    kprod = np.ones(i.size)
     for m, spec in enumerate(specs):
-        diff = np.subtract.outer(shifts[m], shifts[m])
+        diff = shifts[m][i] - shifts[m][j]
         kprod *= np.exp(-(diff**2) / (2.0 * spec.delta**2))
-    weights = np.real(np.outer(gammas.conj(), gammas)) * kprod
+    weights = np.real(gammas[i].conj() * gammas[j]) * kprod * np.where(i == j, 1.0, 2.0)
+    live = weights != 0.0
+    weights = weights[live]
     total = weights.sum()
     means = []
     for m in range(len(specs)):
-        mid = np.add.outer(shifts[m], shifts[m]) / 2.0
+        mid = (shifts[m][i] + shifts[m][j])[live] / 2.0
         means.append(float((weights * mid).sum() / total))
     return means
 
@@ -764,7 +771,13 @@ def cdf_tolerance(m: PointerMixture) -> float:
 
 
 def reference_position_variance(m: PointerMixture) -> float:
+    """The variance summed over the pairs i <= j row by row, an off-diagonal
+    pair counted twice, zero weights dropped."""
     _, w, _, mid = reference_weights(m)
+    i, j = np.triu_indices(m.shifts.size)
+    w = w[i, j] * np.where(i == j, 1.0, 2.0)
+    live = w != 0.0
+    w, mid = w[live], mid[i, j][live]
     total = w.sum()
     mean = (w * mid).sum() / total
     second = (w * (mid**2 + m.delta**2 / 4.0)).sum() / total
@@ -912,3 +925,99 @@ class TestErfAndCdfOracles:
         lo, hi = lo * span, (lo + 2.0 * width) * span
         cdf_lo, cdf_hi = position_cdf(m, np.array([lo, hi]))
         assert window_mass(m, lo, hi) == cdf_hi - cdf_lo
+
+
+def mp_pair_moments(coeffs, shifts, deltas):
+    """The pair sums over all k^2 pairs at 50 digits, from the exact float64 inputs.
+
+    Returns the mean of each pointer, the variance of the first, and the
+    cancellation sum|w_ij| / sum w_ij, w_ij = Re(c_i* c_j) K_ij.
+    """
+    with mpmath.workdps(50):
+        c = [mpmath.mpc(complex(z)) for z in coeffs]
+        s = [[mpmath.mpf(float(x)) for x in row] for row in shifts]
+        d = [mpmath.mpf(float(x)) for x in deltas]
+        total = absolute = second = mpmath.mpf(0)
+        first = [mpmath.mpf(0)] * len(s)
+        for i, j in itertools.product(range(len(c)), repeat=2):
+            w = (c[i].conjugate() * c[j]).real * mpmath.exp(
+                -sum((sm[i] - sm[j]) ** 2 / (2 * dm**2) for sm, dm in zip(s, d)))
+            mids = [(sm[i] + sm[j]) / 2 for sm in s]
+            total, absolute = total + w, absolute + abs(w)
+            first = [f + w * mid for f, mid in zip(first, mids)]
+            second += w * (mids[0] ** 2 + d[0] ** 2 / 4)
+        means = [f / total for f in first]
+        return ([float(m) for m in means], float(second / total - means[0] ** 2),
+                float(absolute / total))
+
+
+def mp_branches(ens: PrePostEnsemble, specs: list[CouplingSpec]):
+    """Exact coefficients <post|P^{A_1}_{t_1} ... P^{A_n}_{t_n}|pre> at 50 digits, with
+    their shifts g_m a_{m,t_m} (one row per pointer); a branch whose row vector is
+    exactly zero has a zero coefficient, and is left out."""
+    with mpmath.workdps(50):
+        rows = [([mpmath.mpc(complex(z)).conjugate() for z in ens.post.amplitudes], ())]
+        for spec in specs:
+            grown = []
+            for old, shift in rows:
+                for a, proj in zip(spec.observable.eigenvalues, spec.observable.projectors):
+                    row = [mpmath.fsum(old[x] * mpmath.mpc(complex(proj[x, y]))
+                                       for x in range(ens.dim)) for y in range(ens.dim)]
+                    if any(v != 0 for v in row):
+                        grown.append((row, shift + (spec.g * a,)))
+            rows = grown
+        pre = [mpmath.mpc(complex(z)) for z in ens.pre.amplitudes]
+        coeffs = [mpmath.fsum(r * p for r, p in zip(row, pre)) for row, _ in rows]
+        return coeffs, np.array([shift for _, shift in rows]).T
+
+
+class TestPairTableAgainstMpmath:
+    """The closed forms within 16 eps * scale per unit of cancellation of the exact sums.
+
+    scale is delta + max|shift| of the pointer (its square for the variance);
+    the worst case seen was about 3 eps.
+    """
+
+    def test_random_single_pointer_mixtures(self):
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            k = int(rng.integers(2, 7))
+            coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            shifts = rng.uniform(-1.0, 1.0, k) * 10.0 ** rng.uniform(-2.0, 1.0)
+            delta = 10.0 ** rng.uniform(-0.5, 0.5)
+            m = PointerMixture(coeffs, shifts, delta)
+            (mean,), var, cancel = mp_pair_moments(coeffs, [shifts], [delta])
+            tol = 16.0 * EPS * (delta + np.abs(shifts).max()) * cancel
+            assert abs(position_mean(m) - mean) <= tol
+            assert abs(position_variance(m) - var) <= tol * (delta + np.abs(shifts).max())
+
+    def assert_marginal_means(self, ens, specs):
+        coeffs, shifts = mp_branches(ens, specs)
+        means, _, cancel = mp_pair_moments(coeffs, shifts, [s.delta for s in specs])
+        for got, want, spec, s in zip(simultaneous(ens, specs), means, specs, shifts):
+            assert abs(got - want) <= 16.0 * EPS * (spec.delta + np.abs(s).max()) * cancel
+
+    def test_random_families(self):
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            dim, pointers = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            while True:
+                pre, post = (rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim)))
+                if abs(np.vdot(post, pre)) > 0.1 * np.linalg.norm(pre) * np.linalg.norm(post):
+                    break
+            specs = []
+            for _ in range(pointers):
+                h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                specs.append(CouplingSpec(Observable.from_matrix((h + h.conj().T) / 2.0),
+                                          g=float(10.0 ** rng.uniform(-2.0, 0.5)),
+                                          delta=float(10.0 ** rng.uniform(-0.3, 0.3))))
+            self.assert_marginal_means(PrePostEnsemble(qubit_state(*pre), qubit_state(*post)),
+                                       specs)
+
+    @pytest.mark.parametrize("g", [0.01, 0.05, 1.0])
+    @pytest.mark.parametrize("post", ["D_plus_D_minus", "C_plus_C_minus",
+                                      "C_plus_D_minus", "D_plus_C_minus"])
+    def test_hardy_family(self, scenario, post, g):
+        ens = PrePostEnsemble(scenario.ensemble.pre, hardy.postselection_variants()[post])
+        self.assert_marginal_means(ens, [CouplingSpec(scenario.observable(n), g=g, delta=1.0)
+                                         for n in hardy.OBSERVABLE_ORDER])
